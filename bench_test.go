@@ -9,9 +9,17 @@
 package msgroofline
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"runtime"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -397,356 +405,110 @@ func BenchmarkAblationCutThrough(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Engine perf trajectory (BENCH_sim.json).
+// Perf trajectory (BENCH_sim.json).
 //
-// The simulation engine is the hot path under every figure, so its
-// per-event cost is tracked across PRs in BENCH_sim.json at the repo
-// root. Run
+// Every recorded measurement is one benchRecord in the single
+// `records` array of BENCH_sim.json at the repo root. Run
 //
-//	BENCH_SIM_RECORD=<label> go test -run TestRecordSimPerfTrajectory .
+//	BENCH_RECORD=<label> go test -run TestRecordBench -timeout 60m .
 //
-// to append one record per canonical simbench workload; perf PRs
-// record a "before" and an "after" label and diff them.
+// to append one record per leg of benchLegs; perf PRs record a
+// "before" and an "after" label on the same host and diff them. A
+// subtest pattern (-run 'TestRecordBench/suite') records a subset.
 
-type simPerfRecord struct {
-	Label        string  `json:"label"`
-	Date         string  `json:"date"`
-	Bench        string  `json:"bench"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Events       uint64  `json:"events"`
+const (
+	benchSimPath    = "BENCH_sim.json"
+	benchFileSchema = "bench-sim/v2"
+	// benchRecordSchema tags records TestRecordBench writes; migrated
+	// records keep the name of the schema they were first written in.
+	benchRecordSchema = "bench/v1"
+	// benchLegArg is the positional argument that makes a re-executed
+	// test binary run one leg in-process and print its record on a
+	// line starting with benchLegPrefix.
+	benchLegArg    = "bench-record-leg"
+	benchLegPrefix = "bench-record: "
+)
+
+type benchFile struct {
+	Schema  string        `json:"schema"`
+	Records []benchRecord `json:"records"`
 }
 
-// suiteWallRecord is one "suite-wall/v1" measurement: the wall time of
-// one full `cmd/experiments -scale quick` regeneration under one cache
-// configuration, plus the point-cache hit rate and the dedup planner's
-// census. Cache-off and warm-disk records of the same label pair up as
-// the before/after of the point-cache work.
-type suiteWallRecord struct {
-	Record string `json:"record"` // always "suite-wall/v1"
-	Label  string `json:"label"`
-	Date   string `json:"date"`
-	Scale  string `json:"scale"`
-	Jobs   int    `json:"jobs"`
-	// Cache names the configuration: "off", "cold-disk" or "warm-disk".
-	Cache       string  `json:"cache"`
-	WallMs      float64 `json:"wall_ms"`
-	HitRate     float64 `json:"hit_rate"`
-	PlanPoints  int     `json:"plan_points"`
-	PlanUnique  int     `json:"plan_unique"`
-	CrossFigure int     `json:"plan_cross_figure_duplicates"`
+// benchRecord is one measurement of one workload at one knob setting.
+// Fields a leg does not measure stay absent.
+type benchRecord struct {
+	Schema   string `json:"schema"`
+	Label    string `json:"label"`
+	Date     string `json:"date"`
+	Workload string `json:"workload"`
+	// Layer is the stack layer the workload isolates: "engine" (the
+	// sequential engine), "window" (the coupled window loop alone),
+	// "stack" (a kernel through the full transport stack) or "suite"
+	// (the end-to-end quick suite).
+	Layer      string     `json:"layer"`
+	Knobs      benchKnobs `json:"knobs"`
+	Ranks      int        `json:"ranks,omitempty"`
+	Groups     int        `json:"groups,omitempty"`
+	Cores      int        `json:"cores,omitempty"`
+	GOMAXPROCS int        `json:"gomaxprocs,omitempty"`
+
+	WallMs       float64 `json:"wall_ms,omitempty"`
+	Events       int64   `json:"events,omitempty"`
+	Windows      uint64  `json:"windows,omitempty"`
+	Dispatches   uint64  `json:"dispatches,omitempty"`
+	NsPerEvent   float64 `json:"ns_per_event,omitempty"`
+	EventsPerSec float64 `json:"events_per_sec,omitempty"`
+	// BusyWall is summed per-group busy time over wall time: the
+	// parallel-efficiency figure on runners too small to show speedup.
+	BusyWall float64 `json:"busy_wall,omitempty"`
+	// ExecMs, BarrierMs and ScanMs split the window loops' wall time
+	// (sim.CoupledEngine.PhaseWall); BarrierShare is the barrier's
+	// share of their sum.
+	ExecMs       float64 `json:"exec_ms,omitempty"`
+	BarrierMs    float64 `json:"barrier_ms,omitempty"`
+	ScanMs       float64 `json:"scan_ms,omitempty"`
+	BarrierShare float64 `json:"barrier_share,omitempty"`
+	// AllocsPerOp is a pointer so a measured 0 survives omitempty.
+	AllocsPerOp *int64 `json:"allocs_per_op,omitempty"`
+	// PeakRSSMb is the peak resident set of the process that ran the
+	// leg alone.
+	PeakRSSMb float64 `json:"peak_rss_mb,omitempty"`
+	// Counters holds leg-specific counts (cache hit rate, planner
+	// census).
+	Counters map[string]float64 `json:"counters,omitempty"`
 }
 
-// shardedPerfRecord is one "sharded-perf/v1" measurement: throughput
-// of the 10^5-rank PHOLD workload on the sharded engine at one shard
-// count. On a multi-core runner events/sec across shard counts shows
-// the speedup directly; on a single-core runner it cannot, so the
-// busy/wall ratio is recorded alongside — it approaches 1 from below
-// when the shards keep the core saturated, and the gap is barrier
-// and scheduling overhead (see sim.ShardedEngine.BusyWall).
-type shardedPerfRecord struct {
-	Record       string  `json:"record"` // always "sharded-perf/v1"
-	Label        string  `json:"label"`
-	Date         string  `json:"date"`
-	Ranks        int     `json:"ranks"`
-	Shards       int     `json:"shards"`
-	Cores        int     `json:"cores"` // runtime.NumCPU on the runner
-	Events       int64   `json:"events"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	BusyWall     float64 `json:"busy_wall"`
+// benchKnobs are the settings a record was measured at. Shards is the
+// -shards worker count of a world; Workers is the same knob named as
+// the engine names it.
+type benchKnobs struct {
+	Shards  int    `json:"shards,omitempty"`
+	Workers int    `json:"workers,omitempty"`
+	Jobs    int    `json:"jobs,omitempty"`
+	Cache   string `json:"cache,omitempty"`
 }
 
-// coupledPerfRecord is one "sharded-coupled/v1" measurement:
-// throughput of a real coupled-stack workload (the 64-rank one-sided
-// stencil on frontier-cpu, whose fabric decomposes into 4 node-group
-// engines) at one -shards worker count. Events/sec shows the speedup
-// on multi-core runners; busy/wall is the honest efficiency figure
-// everywhere (see sim.CoupledEngine.BusyWall).
-type coupledPerfRecord struct {
-	Record       string  `json:"record"` // always "sharded-coupled/v1"
-	Label        string  `json:"label"`
-	Date         string  `json:"date"`
-	Workload     string  `json:"workload"`
-	Ranks        int     `json:"ranks"`
-	Groups       int     `json:"groups"`
-	Shards       int     `json:"shards"`
-	Cores        int     `json:"cores"`
-	Windows      uint64  `json:"windows"`
-	Events       int64   `json:"events"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	BusyWall     float64 `json:"busy_wall"`
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+
+func (r *benchRecord) setRate(wall time.Duration, events int64) {
+	r.WallMs = ms(wall)
+	r.Events = events
+	if events > 0 {
+		r.NsPerEvent = float64(wall.Nanoseconds()) / float64(events)
+		r.EventsPerSec = 1e9 / r.NsPerEvent
+	}
 }
 
-// topoScaleRecord is one "topo-scale/v1" measurement: coupled-engine
-// throughput of a stencil on a generated extreme-scale fabric (the
-// 10240-rank dragonfly), tracking how the engine scales to fabrics
-// three orders of magnitude past the paper's single nodes.
-type topoScaleRecord struct {
-	Record       string  `json:"record"` // always "topo-scale/v1"
-	Label        string  `json:"label"`
-	Date         string  `json:"date"`
-	Topology     string  `json:"topology"`
-	Ranks        int     `json:"ranks"`
-	Groups       int     `json:"groups"`
-	Shards       int     `json:"shards"`
-	Cores        int     `json:"cores"`
-	Windows      uint64  `json:"windows"`
-	Events       int64   `json:"events"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	BusyWall     float64 `json:"busy_wall"`
+func (r *benchRecord) setPhases(exec, barrier, scan time.Duration) {
+	r.ExecMs, r.BarrierMs, r.ScanMs = ms(exec), ms(barrier), ms(scan)
+	if phase := exec + barrier + scan; phase > 0 {
+		r.BarrierShare = float64(barrier) / float64(phase)
+	}
 }
 
-// windowEngineRecord is one "window-engine/v1" measurement: coupled
-// window-loop throughput at one worker count, with the barrier's share
-// of the attributed loop wall (sim.CoupledEngine.PhaseWall). Two
-// workloads are recorded per label: the prepared-closure 100K-rank
-// PHOLD token storm (simbench.CoupledWindows, pure engine cost) and
-// the 10240-rank dragonfly one-sided stencil (full stack). Events/sec
-// across worker counts shows the speedup on multi-core runners;
-// busy/wall is the honest efficiency figure everywhere.
-type windowEngineRecord struct {
-	Record       string  `json:"record"` // always "window-engine/v1"
-	Label        string  `json:"label"`
-	Date         string  `json:"date"`
-	Workload     string  `json:"workload"`
-	Ranks        int     `json:"ranks"`
-	Groups       int     `json:"groups"`
-	Workers      int     `json:"workers"`
-	Cores        int     `json:"cores"`
-	Windows      uint64  `json:"windows"`
-	Dispatches   uint64  `json:"dispatches"`
-	Events       int64   `json:"events"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	BusyWall     float64 `json:"busy_wall"`
-	BarrierShare float64 `json:"barrier_share"`
-}
-
-type simPerfFile struct {
-	Schema       string               `json:"schema"`
-	Records      []simPerfRecord      `json:"records"`
-	SuiteWall    []suiteWallRecord    `json:"suite_wall,omitempty"`
-	Sharded      []shardedPerfRecord  `json:"sharded,omitempty"`
-	Coupled      []coupledPerfRecord  `json:"coupled,omitempty"`
-	TopoScale    []topoScaleRecord    `json:"topo_scale,omitempty"`
-	WindowEngine []windowEngineRecord `json:"window_engine,omitempty"`
-}
-
-const simPerfPath = "BENCH_sim.json"
-
-// TestRecordSuiteWall appends suite-wall/v1 records to BENCH_sim.json:
-//
-//	BENCH_SUITE_RECORD=<label> go test -run TestRecordSuiteWall .
-//
-// It regenerates the quick suite three times in-process — cache off,
-// cold disk cache, warm disk cache — and records each wall time with
-// the hit rate and the planner's duplicate census. The cache-off and
-// warm-disk records are the before/after of the point-cache work.
-func TestRecordSuiteWall(t *testing.T) {
-	label := os.Getenv("BENCH_SUITE_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_SUITE_RECORD=<label> to append suite wall times to BENCH_sim.json")
-	}
-	dir := t.TempDir()
-	date := time.Now().UTC().Format("2006-01-02")
-	var recs []suiteWallRecord
-	run := func(name string, cache *pointcache.Cache) {
-		start := time.Now()
-		_, _, ps, err := experiments.RunSuite(experiments.Registry(), experiments.SuiteOptions{Scale: experiments.Quick, Jobs: sweepJobs, Cache: cache})
-		wall := time.Since(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := suiteWallRecord{
-			Record: "suite-wall/v1", Label: label, Date: date,
-			Scale: "quick", Jobs: sweepJobs, Cache: name,
-			WallMs:     float64(wall.Microseconds()) / 1e3,
-			HitRate:    cache.Stats().HitRate(),
-			PlanPoints: ps.Points, PlanUnique: ps.Unique, CrossFigure: ps.CrossFigure,
-		}
-		recs = append(recs, r)
-		t.Logf("%s: %.0f ms wall, hit rate %.2f, %d/%d unique points (%d cross-figure dup)",
-			name, r.WallMs, r.HitRate, ps.Unique, ps.Points, ps.CrossFigure)
-	}
-	run("off", nil)
-	cold, err := pointcache.New(pointcache.Disk, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run("cold-disk", cold)
-	warm, err := pointcache.New(pointcache.Disk, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run("warm-disk", warm)
-
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
-		}
-	}
-	f.Schema = "sim-engine-perf/v1"
-	f.SuiteWall = append(f.SuiteWall, recs...)
-	out, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended %d suite-wall records to %s", len(recs), simPerfPath)
-}
-
-// TestRecordShardedPerf appends sharded-perf/v1 records to
-// BENCH_sim.json:
-//
-//	BENCH_SHARDED_RECORD=<label> go test -run TestRecordShardedPerf .
-//
-// It runs the 10^5-rank PHOLD workload (simbench.ShardedPhold) at
-// shards 1, 2, and 4 and records events/sec together with the
-// busy/wall ratio, which is the honest efficiency figure on runners
-// without enough cores to show a wall-clock speedup.
-func TestRecordShardedPerf(t *testing.T) {
-	label := os.Getenv("BENCH_SHARDED_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_SHARDED_RECORD=<label> to append sharded engine throughput to BENCH_sim.json")
-	}
-	const (
-		ranks  = 100000
-		events = 2000000
-		seed   = 1
-	)
-	date := time.Now().UTC().Format("2006-01-02")
-	var recs []shardedPerfRecord
-	for _, shards := range []int{1, 2, 4} {
-		eng, err := simbench.NewShardedPhold(ranks, shards, events, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		wall := time.Since(start)
-		executed := eng.Executed()
-		nsPerEvent := float64(wall.Nanoseconds()) / float64(executed)
-		r := shardedPerfRecord{
-			Record: "sharded-perf/v1", Label: label, Date: date,
-			Ranks: ranks, Shards: shards, Cores: runtime.NumCPU(),
-			Events:       executed,
-			NsPerEvent:   nsPerEvent,
-			EventsPerSec: 1e9 / nsPerEvent,
-			BusyWall:     eng.BusyWall(wall),
-		}
-		recs = append(recs, r)
-		t.Logf("shards=%d: %d events, %.1f ns/event, %.2fM events/sec, busy/wall %.2f",
-			shards, executed, nsPerEvent, r.EventsPerSec/1e6, r.BusyWall)
-	}
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
-		}
-	}
-	f.Schema = "sim-engine-perf/v1"
-	f.Sharded = append(f.Sharded, recs...)
-	out, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended %d sharded-perf records to %s", len(recs), simPerfPath)
-}
-
-func TestRecordSimPerfTrajectory(t *testing.T) {
-	label := os.Getenv("BENCH_SIM_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_SIM_RECORD=<label> to append engine perf numbers to BENCH_sim.json")
-	}
-	workloads := []struct {
-		name string
-		run  func(n int) *sim.Engine
-	}{
-		{"EngineSleepSignal", simbench.PingPong},
-		{"EngineSleepYield", simbench.SleepYield},
-		{"EngineTimerChurn", func(n int) *sim.Engine { return simbench.TimerChurn(64, n/64+1) }},
-		{"EngineBroadcast", func(n int) *sim.Engine { return simbench.Broadcast(32, n/32+1) }},
-	}
-	var recs []simPerfRecord
-	for _, w := range workloads {
-		var eng *sim.Engine
-		run := w.run
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			eng = run(b.N)
-		})
-		events := eng.Executed()
-		wallNs := float64(res.NsPerOp()) * float64(res.N)
-		nsPerEvent := wallNs / float64(events)
-		recs = append(recs, simPerfRecord{
-			Label:        label,
-			Date:         time.Now().UTC().Format("2006-01-02"),
-			Bench:        w.name,
-			NsPerEvent:   nsPerEvent,
-			AllocsPerOp:  res.AllocsPerOp(),
-			EventsPerSec: 1e9 / nsPerEvent,
-			Events:       events,
-		})
-		t.Logf("%s: %.1f ns/event, %d allocs/op, %d events", w.name, nsPerEvent, res.AllocsPerOp(), events)
-	}
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
-		}
-	}
-	f.Schema = "sim-engine-perf/v1"
-	f.Records = append(f.Records, recs...)
-	out, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended %d records to %s", len(recs), simPerfPath)
-}
-
-// TestRecordTopoScale appends a topo-scale/v1 record to BENCH_sim.json:
-//
-//	BENCH_TOPO_RECORD=<label> go test -run TestRecordTopoScale .
-//
-// It runs a one-sided stencil across all 10240 ranks of the generated
-// dragonfly-10k fabric (128x80 decomposition, 1024 node groups) on the
-// coupled engine at -shards 4 and records events/sec and busy/wall —
-// the scaling datapoint for fabrics three orders of magnitude beyond
-// the paper's single nodes.
-func TestRecordTopoScale(t *testing.T) {
-	label := os.Getenv("BENCH_TOPO_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_TOPO_RECORD=<label> to append topology-scale throughput to BENCH_sim.json")
-	}
-	cfg, err := machine.Get("dragonfly-10k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shards = 4
-	before := simruntime.Usage()
-	start := time.Now()
-	if _, err := stencil.Run(stencil.Config{
-		Machine: cfg, Transport: comm.OneSided,
-		Grid: 1280, Iters: 2, PX: 128, PY: 80, Shards: shards,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	wall := time.Since(start)
+// setUsage fills the engine counters from the runtime's usage tally
+// accumulated since before.
+func (r *benchRecord) setUsage(before simruntime.UsageSummary, wall time.Duration) {
 	after := simruntime.Usage()
 	var events int64
 	for _, n := range after.Events {
@@ -755,142 +517,124 @@ func TestRecordTopoScale(t *testing.T) {
 	for _, n := range before.Events {
 		events -= n
 	}
-	busy := after.Busy - before.Busy
-	nsPerEvent := float64(wall.Nanoseconds()) / float64(events)
-	rec := topoScaleRecord{
-		Record: "topo-scale/v1", Label: label, Date: time.Now().UTC().Format("2006-01-02"),
-		Topology: "dragonfly-10k", Ranks: 10240,
-		Groups: len(after.Events), Shards: shards,
-		Cores:        runtime.NumCPU(),
-		Windows:      after.Windows - before.Windows,
-		Events:       events,
-		NsPerEvent:   nsPerEvent,
-		EventsPerSec: 1e9 / nsPerEvent,
-		BusyWall:     float64(busy) / float64(wall),
-	}
-	t.Logf("ranks=10240 shards=%d: %d events over %d windows, %.1f ns/event, %.2fM events/sec, busy/wall %.2f",
-		shards, rec.Events, rec.Windows, nsPerEvent, rec.EventsPerSec/1e6, rec.BusyWall)
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
-		}
-	}
-	f.Schema = "sim-engine-perf/v1"
-	f.TopoScale = append(f.TopoScale, rec)
-	out, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended topo-scale record to %s", simPerfPath)
+	r.setRate(wall, events)
+	r.Windows = after.Windows - before.Windows
+	r.Dispatches = after.Dispatches - before.Dispatches
+	r.BusyWall = float64(after.Busy-before.Busy) / float64(wall)
+	r.setPhases(after.ExecWall-before.ExecWall, after.BarrierWall-before.BarrierWall,
+		after.ScanWall-before.ScanWall)
 }
 
-// TestRecordCoupledPerf appends sharded-coupled/v1 records to
-// BENCH_sim.json:
-//
-//	BENCH_COUPLED_RECORD=<label> go test -run TestRecordCoupledPerf .
-//
-// It runs the 64-rank one-sided stencil on frontier-cpu — whose four
-// NUMA quadrants give the coupled engine four node-group sub-engines
-// — at -shards 1, 2, and 4 and records events/sec together with the
-// busy/wall ratio. Simulated output is identical at every shard
-// count; only the wall-clock numbers move.
-func TestRecordCoupledPerf(t *testing.T) {
-	label := os.Getenv("BENCH_COUPLED_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_COUPLED_RECORD=<label> to append coupled-stack throughput to BENCH_sim.json")
+// benchLeg is one recorder measurement. run executes in a child
+// process of its own; scratch is a directory shared by every leg of
+// one recorder run.
+type benchLeg struct {
+	name string
+	run  func(t *testing.T, scratch string) benchRecord
+}
+
+func benchLegs() []benchLeg {
+	legs := []benchLeg{
+		engineLeg("EngineSleepSignal", simbench.PingPong),
+		engineLeg("EngineSleepYield", simbench.SleepYield),
+		engineLeg("EngineTimerChurn", func(n int) *sim.Engine { return simbench.TimerChurn(64, n/64+1) }),
+		engineLeg("EngineBroadcast", func(n int) *sim.Engine { return simbench.Broadcast(32, n/32+1) }),
+		// cold-disk fills the scratch cache that warm-disk then reads.
+		suiteLeg("off"), suiteLeg("cold-disk"), suiteLeg("warm-disk"),
 	}
-	cfg, err := machine.Get("frontier-cpu")
-	if err != nil {
-		t.Fatal(err)
+	for _, s := range []int{1, 2, 4} {
+		legs = append(legs, stencilLeg(fmt.Sprintf("stencil-frontier-shards%d", s), benchKnobs{Shards: s},
+			stencil.Config{Transport: comm.OneSided, Grid: 512, Iters: 96, PX: 8, PY: 8, Shards: s}, "frontier-cpu"))
 	}
-	date := time.Now().UTC().Format("2006-01-02")
-	var recs []coupledPerfRecord
-	for _, shards := range []int{1, 2, 4} {
+	for _, w := range []int{1, 2, 4} {
+		legs = append(legs, pholdLeg(w))
+	}
+	for _, w := range []int{1, 2, 4} {
+		legs = append(legs, stencilLeg(fmt.Sprintf("stencil-df10k-workers%d", w), benchKnobs{Workers: w},
+			stencil.Config{Transport: comm.OneSided, Grid: 1280, Iters: 2, PX: 128, PY: 80, Shards: w}, "dragonfly-10k"))
+	}
+	return legs
+}
+
+// engineLeg measures one sequential-engine microbenchmark.
+func engineLeg(workload string, run func(n int) *sim.Engine) benchLeg {
+	return benchLeg{workload, func(t *testing.T, _ string) benchRecord {
+		var eng *sim.Engine
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			eng = run(b.N)
+		})
+		allocs := res.AllocsPerOp()
+		r := benchRecord{Workload: workload, Layer: "engine", AllocsPerOp: &allocs}
+		r.setRate(res.T, int64(eng.Executed()))
+		return r
+	}}
+}
+
+// suiteLeg regenerates the quick suite under one cache configuration
+// ("off", "cold-disk" or "warm-disk") and records the hit rate and the
+// dedup planner's census.
+func suiteLeg(cache string) benchLeg {
+	return benchLeg{"suite-" + cache, func(t *testing.T, scratch string) benchRecord {
+		var pc *pointcache.Cache
+		if cache != "off" {
+			var err error
+			if pc, err = pointcache.New(pointcache.Disk, filepath.Join(scratch, "pointcache")); err != nil {
+				t.Fatal(err)
+			}
+		}
 		before := simruntime.Usage()
 		start := time.Now()
-		if _, err := stencil.Run(stencil.Config{
-			Machine: cfg, Transport: comm.OneSided,
-			Grid: 512, Iters: 96, PX: 8, PY: 8, Shards: shards,
-		}); err != nil {
+		_, _, ps, err := experiments.RunSuite(experiments.Registry(), experiments.SuiteOptions{Scale: experiments.Quick, Jobs: sweepJobs, Cache: pc})
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := benchRecord{
+			Workload: "suite/quick", Layer: "suite",
+			Knobs: benchKnobs{Jobs: sweepJobs, Cache: cache},
+			Counters: map[string]float64{
+				"hit_rate":                     pc.Stats().HitRate(),
+				"plan_points":                  float64(ps.Points),
+				"plan_unique":                  float64(ps.Unique),
+				"plan_cross_figure_duplicates": float64(ps.CrossFigure),
+			},
+		}
+		r.setUsage(before, wall)
+		return r
+	}}
+}
+
+// stencilLeg runs one one-sided stencil through the full stack.
+func stencilLeg(name string, knobs benchKnobs, cfg stencil.Config, machineName string) benchLeg {
+	return benchLeg{name, func(t *testing.T, _ string) benchRecord {
+		m, err := machine.Get(machineName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Machine = m
+		before := simruntime.Usage()
+		start := time.Now()
+		if _, err := stencil.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
 		wall := time.Since(start)
-		after := simruntime.Usage()
-		var events int64
-		for _, n := range after.Events {
-			events += n
+		r := benchRecord{
+			Workload: "stencil/one-sided/" + machineName, Layer: "stack", Knobs: knobs,
+			Ranks: cfg.PX * cfg.PY, Groups: len(simruntime.Usage().Events),
 		}
-		for _, n := range before.Events {
-			events -= n
-		}
-		busy := after.Busy - before.Busy
-		nsPerEvent := float64(wall.Nanoseconds()) / float64(events)
-		r := coupledPerfRecord{
-			Record: "sharded-coupled/v1", Label: label, Date: date,
-			Workload: "stencil/one-sided/frontier-cpu",
-			Ranks:    64, Groups: len(after.Events), Shards: shards,
-			Cores:        runtime.NumCPU(),
-			Windows:      after.Windows - before.Windows,
-			Events:       events,
-			NsPerEvent:   nsPerEvent,
-			EventsPerSec: 1e9 / nsPerEvent,
-			BusyWall:     float64(busy) / float64(wall),
-		}
-		recs = append(recs, r)
-		t.Logf("shards=%d: %d events over %d windows, %.1f ns/event, %.2fM events/sec, busy/wall %.2f",
-			shards, r.Events, r.Windows, nsPerEvent, r.EventsPerSec/1e6, r.BusyWall)
-	}
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
-		}
-	}
-	f.Schema = "sim-engine-perf/v1"
-	f.Coupled = append(f.Coupled, recs...)
-	out, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended %d sharded-coupled records to %s", len(recs), simPerfPath)
+		r.setUsage(before, wall)
+		return r
+	}}
 }
 
-// TestRecordWindowEngine appends window-engine/v1 records to
-// BENCH_sim.json:
-//
-//	BENCH_WINDOW_RECORD=<label> go test -run TestRecordWindowEngine -timeout 60m .
-//
-// It runs the two window-loop reference workloads at 1, 2, and 4
-// workers each: the 100K-rank coupled PHOLD token storm
-// (simbench.CoupledWindows — pure engine cost, no transport stack) and
-// the 10240-rank dragonfly one-sided stencil (the full stack over
-// 1024 node groups). Besides events/sec and busy/wall it records the
-// barrier's share of the attributed loop wall (PhaseWall), the number
-// the merge-based barrier and active-group dispatch are meant to keep
-// flat as worker count grows. Simulated output is identical at every
-// worker count; only the wall-clock numbers move.
-func TestRecordWindowEngine(t *testing.T) {
-	label := os.Getenv("BENCH_WINDOW_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_WINDOW_RECORD=<label> to append window-engine throughput to BENCH_sim.json")
-	}
-	date := time.Now().UTC().Format("2006-01-02")
-	var recs []windowEngineRecord
-
-	// Leg 1: 100K-rank coupled PHOLD (one rank per node group).
-	const (
-		pholdRanks  = 100000
-		pholdEvents = 2000000
-	)
-	for _, workers := range []int{1, 2, 4} {
-		ce, err := simbench.NewCoupledWindows(pholdRanks, workers, pholdEvents, 1)
+// pholdLeg runs the 100K-rank prepared-closure PHOLD token storm
+// (simbench.CoupledWindows): the window loop's cost without any
+// transport stack.
+func pholdLeg(workers int) benchLeg {
+	const ranks, events = 100000, 2000000
+	return benchLeg{fmt.Sprintf("phold-100k-workers%d", workers), func(t *testing.T, _ string) benchRecord {
+		ce, err := simbench.NewCoupledWindows(ranks, workers, events, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -899,87 +643,129 @@ func TestRecordWindowEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		wall := time.Since(start)
-		exec, barrier, scan := ce.PhaseWall()
-		phase := exec + barrier + scan
-		executed := int64(ce.Executed())
-		nsPerEvent := float64(wall.Nanoseconds()) / float64(executed)
-		r := windowEngineRecord{
-			Record: "window-engine/v1", Label: label, Date: date,
-			Workload: "phold/coupled/100k",
-			Ranks:    pholdRanks, Groups: ce.Groups(), Workers: workers,
-			Cores:        runtime.NumCPU(),
-			Windows:      ce.Windows(),
-			Dispatches:   ce.Dispatches(),
-			Events:       executed,
-			NsPerEvent:   nsPerEvent,
-			EventsPerSec: 1e9 / nsPerEvent,
-			BusyWall:     ce.BusyWall(wall),
-			BarrierShare: float64(barrier) / float64(phase),
+		r := benchRecord{
+			Workload: "phold/coupled/100k", Layer: "window", Knobs: benchKnobs{Workers: workers},
+			Ranks: ranks, Groups: ce.Groups(), Windows: ce.Windows(), Dispatches: ce.Dispatches(),
+			BusyWall: ce.BusyWall(wall),
 		}
-		recs = append(recs, r)
-		t.Logf("phold workers=%d: %d events over %d windows (%d dispatches), %.1f ns/event, %.2fM events/sec, busy/wall %.2f, barrier share %.3f",
-			workers, r.Events, r.Windows, r.Dispatches, nsPerEvent, r.EventsPerSec/1e6, r.BusyWall, r.BarrierShare)
-	}
+		r.setRate(wall, int64(ce.Executed()))
+		r.setPhases(ce.PhaseWall())
+		return r
+	}}
+}
 
-	// Leg 2: 10240-rank dragonfly stencil (full transport stack).
-	cfg, err := machine.Get("dragonfly-10k")
-	if err != nil {
-		t.Fatal(err)
+// TestRecordBench appends one record per leg to BENCH_sim.json. Each
+// leg runs in a child process (the test binary re-executed on the
+// leg's subtest) so no leg inherits another's heap, and the child's
+// peak RSS is recorded with it. Simulated output is identical at every
+// knob setting; only the wall-clock numbers move.
+func TestRecordBench(t *testing.T) {
+	label := os.Getenv("BENCH_RECORD")
+	if label == "" {
+		t.Skip("set BENCH_RECORD=<label> to append benchmark records to " + benchSimPath)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		before := simruntime.Usage()
-		start := time.Now()
-		if _, err := stencil.Run(stencil.Config{
-			Machine: cfg, Transport: comm.OneSided,
-			Grid: 1280, Iters: 2, PX: 128, PY: 80, Shards: workers,
-		}); err != nil {
-			t.Fatal(err)
+	if flag.Arg(0) == benchLegArg {
+		for _, leg := range benchLegs() {
+			t.Run(leg.name, func(t *testing.T) {
+				r := leg.run(t, flag.Arg(1))
+				r.Schema, r.Label, r.Date = benchRecordSchema, label, time.Now().UTC().Format("2006-01-02")
+				r.Cores, r.GOMAXPROCS = runtime.NumCPU(), runtime.GOMAXPROCS(0)
+				out, err := json.Marshal(&r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Printf("%s%s\n", benchLegPrefix, out)
+			})
 		}
-		wall := time.Since(start)
-		after := simruntime.Usage()
-		var events int64
-		for _, n := range after.Events {
-			events += n
-		}
-		for _, n := range before.Events {
-			events -= n
-		}
-		busy := after.Busy - before.Busy
-		barrier := after.BarrierWall - before.BarrierWall
-		phase := (after.ExecWall - before.ExecWall) + barrier +
-			(after.ScanWall - before.ScanWall)
-		nsPerEvent := float64(wall.Nanoseconds()) / float64(events)
-		r := windowEngineRecord{
-			Record: "window-engine/v1", Label: label, Date: date,
-			Workload: "stencil/one-sided/dragonfly-10k",
-			Ranks:    10240, Groups: len(after.Events), Workers: workers,
-			Cores:        runtime.NumCPU(),
-			Windows:      after.Windows - before.Windows,
-			Events:       events,
-			NsPerEvent:   nsPerEvent,
-			EventsPerSec: 1e9 / nsPerEvent,
-			BusyWall:     float64(busy) / float64(wall),
-			BarrierShare: float64(barrier) / float64(phase),
-		}
-		recs = append(recs, r)
-		t.Logf("stencil workers=%d: %d events over %d windows, %.1f ns/event, %.2fM events/sec, busy/wall %.2f, barrier share %.3f",
-			workers, r.Events, r.Windows, nsPerEvent, r.EventsPerSec/1e6, r.BusyWall, r.BarrierShare)
+		return
 	}
-
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
+	scratch := t.TempDir()
+	var recs []benchRecord
+	for _, leg := range benchLegs() {
+		t.Run(leg.name, func(t *testing.T) {
+			r := runBenchLeg(t, leg.name, scratch)
+			t.Logf("%.0f ms wall, %d events, %.1f ns/event, %d windows, %d dispatches, busy/wall %.2f, peak RSS %.0f MB",
+				r.WallMs, r.Events, r.NsPerEvent, r.Windows, r.Dispatches, r.BusyWall, r.PeakRSSMb)
+			recs = append(recs, r)
+		})
+	}
+	if t.Failed() || len(recs) == 0 {
+		return
+	}
+	var f benchFile
+	if data, err := os.ReadFile(benchSimPath); err == nil {
 		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
+			t.Fatalf("parse %s: %v", benchSimPath, err)
 		}
 	}
-	f.Schema = "sim-engine-perf/v1"
-	f.WindowEngine = append(f.WindowEngine, recs...)
+	f.Schema = benchFileSchema
+	f.Records = append(f.Records, recs...)
 	out, err := json.MarshalIndent(&f, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(benchSimPath, append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("appended %d window-engine records to %s", len(recs), simPerfPath)
+	t.Logf("appended %d records to %s", len(recs), benchSimPath)
+}
+
+// runBenchLeg re-executes the test binary on one leg and returns the
+// record it printed, with the child's peak RSS filled in.
+func runBenchLeg(t *testing.T, name, scratch string) benchRecord {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRecordBench$/^"+regexp.QuoteMeta(name)+"$", benchLegArg, scratch)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("leg %s: %v\n%s", name, err, out)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if js, ok := strings.CutPrefix(line, benchLegPrefix); ok {
+			var r benchRecord
+			if err := json.Unmarshal([]byte(js), &r); err != nil {
+				t.Fatalf("leg %s: %v", name, err)
+			}
+			// Linux reports Maxrss in KiB.
+			r.PeakRSSMb = float64(cmd.ProcessState.SysUsage().(*syscall.Rusage).Maxrss) / 1024
+			return r
+		}
+	}
+	t.Fatalf("leg %s printed no record:\n%s", name, out)
+	return benchRecord{}
+}
+
+// TestBenchSimJSONSchema keeps BENCH_sim.json to one record shape:
+// every record decodes into benchRecord with no unknown field, names
+// its label, date, workload and layer, and no two records share a
+// label, workload and knob setting.
+func TestBenchSimJSONSchema(t *testing.T) {
+	data, err := os.ReadFile(benchSimPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var f benchFile
+	if err := dec.Decode(&f); err != nil {
+		t.Fatalf("%s: %v", benchSimPath, err)
+	}
+	if f.Schema != benchFileSchema {
+		t.Errorf("%s schema %q, want %q", benchSimPath, f.Schema, benchFileSchema)
+	}
+	type key struct {
+		label, workload string
+		knobs           benchKnobs
+	}
+	seen := map[key]bool{}
+	for i, r := range f.Records {
+		if r.Schema == "" || r.Label == "" || r.Date == "" || r.Workload == "" || r.Layer == "" {
+			t.Errorf("record %d lacks schema/label/date/workload/layer: %+v", i, r)
+		}
+		k := key{r.Label, r.Workload, r.Knobs}
+		if seen[k] {
+			t.Errorf("record %d duplicates label %q workload %q knobs %+v", i, r.Label, r.Workload, r.Knobs)
+		}
+		seen[k] = true
+	}
 }

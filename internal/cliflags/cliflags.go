@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"msgroofline/internal/pointcache"
@@ -147,21 +148,43 @@ func (c *Common) ReportCache(cache *pointcache.Cache) {
 
 // ReportShards prints the shared one-line shard-utilization summary
 // to stderr: how many worlds ran, how many of them decomposed into
-// multiple node groups, the conservative windows executed, the
-// per-phase wall split of the window loops (group execution vs
-// barrier deferred-op application vs window-bound maintenance — the
-// engine-layer start of a Breaking-Band-style cost attribution), the
-// largest window worker parallelism used, and the executed events
-// summed by node-group index. The CI shard-determinism job greps this
-// line to assert the grouped path really ran — a silent fallback to
-// one sequential engine would show grouped=0.
+// multiple node groups, the conservative windows and group-window
+// dispatches executed, the per-phase wall split of the window loops
+// (group execution vs barrier deferred-op application vs window-bound
+// maintenance — the engine-layer start of a Breaking-Band-style cost
+// attribution), the largest window worker parallelism used, and the
+// spread of executed events over node-group indices. The CI
+// shard-determinism job greps this line to assert the grouped path
+// really ran — a silent fallback to one sequential engine would show
+// grouped=0.
 func (c *Common) ReportShards(label string) {
 	u := simruntime.Usage()
 	if u.Worlds == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "%s: worlds=%d grouped=%d windows=%d exec=%v barrier=%v scan=%v workers<=%d events/group=%v\n",
-		label, u.Worlds, u.Grouped, u.Windows,
+	fmt.Fprintf(os.Stderr, "%s: worlds=%d grouped=%d windows=%d dispatches=%d exec=%v barrier=%v scan=%v workers<=%d %s\n",
+		label, u.Worlds, u.Grouped, u.Windows, u.Dispatches,
 		u.ExecWall.Round(time.Millisecond), u.BarrierWall.Round(time.Millisecond),
-		u.ScanWall.Round(time.Millisecond), u.MaxWorkers, u.Events)
+		u.ScanWall.Round(time.Millisecond), u.MaxWorkers, groupSpread(u.Events))
+}
+
+// groupSpread summarizes executed events by node-group index as
+// "groups=N events/group min/p50/max=a/b/c imbalance=x", where
+// imbalance is max over mean (1.00 is perfectly even).
+func groupSpread(events []int64) string {
+	if len(events) == 0 {
+		return "groups=0"
+	}
+	s := slices.Clone(events)
+	slices.Sort(s)
+	var sum int64
+	for _, n := range s {
+		sum += n
+	}
+	imbalance := 0.0
+	if sum > 0 {
+		imbalance = float64(s[len(s)-1]) * float64(len(s)) / float64(sum)
+	}
+	return fmt.Sprintf("groups=%d events/group min/p50/max=%d/%d/%d imbalance=%.2f",
+		len(s), s[0], s[(len(s)-1)/2], s[len(s)-1], imbalance)
 }

@@ -96,3 +96,20 @@ func TestStartProfilesWritesCPUProfile(t *testing.T) {
 		}
 	}
 }
+
+func TestGroupSpread(t *testing.T) {
+	for _, tc := range []struct {
+		events []int64
+		want   string
+	}{
+		{nil, "groups=0"},
+		{[]int64{0, 0}, "groups=2 events/group min/p50/max=0/0/0 imbalance=0.00"},
+		{[]int64{7}, "groups=1 events/group min/p50/max=7/7/7 imbalance=1.00"},
+		{[]int64{30, 10, 20}, "groups=3 events/group min/p50/max=10/20/30 imbalance=1.50"},
+		{[]int64{4, 1, 3, 2}, "groups=4 events/group min/p50/max=1/2/4 imbalance=1.60"},
+	} {
+		if got := groupSpread(tc.events); got != tc.want {
+			t.Errorf("groupSpread(%v) = %q, want %q", tc.events, got, tc.want)
+		}
+	}
+}

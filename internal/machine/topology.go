@@ -13,7 +13,7 @@ import (
 // FatTree generators (generate.go), which expand to the same link-list
 // form. One generic builder turns any spec into a netsim fabric plus
 // rank placements, so node groups, lookahead bounds, and the coupled
-// sharded engine all fall out of the spec with no per-machine wiring.
+// window engine all fall out of the spec with no per-machine wiring.
 //
 // Builder determinism: links are added in spec order, which fixes
 // netsim's adjacency insertion order and therefore its BFS tie-breaks

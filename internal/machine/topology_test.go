@@ -72,7 +72,7 @@ func TestBuildRejectsPlacementOutsideFabric(t *testing.T) {
 
 // Topology properties every generated fabric must satisfy: full
 // connectivity, path symmetry, the analytic diameter bound, and a
-// positive lookahead bound (the sharded engine's window size).
+// positive lookahead bound (the window engine's window size).
 func testGeneratedProperties(t *testing.T, name string, diameter int) {
 	t.Helper()
 	cfg, err := Get(name)

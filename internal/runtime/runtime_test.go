@@ -364,3 +364,31 @@ func TestCrossSocketExtraCharged(t *testing.T) {
 	}
 	_ = w
 }
+
+func TestUsageCountsDispatches(t *testing.T) {
+	w := newWorld(t, "summit-gpu", 6)
+	if w.Groups() < 2 {
+		t.Fatalf("summit-gpu with 6 PEs has %d node group(s), want a grouped world", w.Groups())
+	}
+	tp, _ := w.Inst.Cfg.Params(machine.GPUShmem)
+	for r := 0; r < 6; r++ {
+		rank := r
+		w.Spawn(rank, "p", func(p *sim.Proc) {
+			for i := 0; i < 10; i++ {
+				w.Endpoint(rank).Inject(tp, (rank+1+i)%6, 64, i, func(sim.Time) {}, nil)
+				p.Sleep(100 * sim.Nanosecond)
+			}
+		})
+	}
+	before := Usage()
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	after := Usage()
+	windows := after.Windows - before.Windows
+	dispatches := after.Dispatches - before.Dispatches
+	if dispatches == 0 || dispatches > windows*uint64(w.Groups()) {
+		t.Fatalf("usage delta: %d dispatches over %d windows x %d groups, want 0 < dispatches <= windows x groups",
+			dispatches, windows, w.Groups())
+	}
+}

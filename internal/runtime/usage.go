@@ -24,6 +24,11 @@ type UsageSummary struct {
 	Grouped int
 	// Windows is the total conservative windows executed.
 	Windows uint64
+	// Dispatches is the total group-window dispatches: the sum over
+	// windows of each window's active-group count (see
+	// sim.CoupledEngine.Dispatches). Dispatches well below Windows ×
+	// groups is the active-group filter skipping idle groups.
+	Dispatches uint64
 	// Events sums executed events by node-group index (ragged across
 	// machines: index 0 aggregates every world's first group, and so
 	// on up to the largest group count seen).
@@ -60,6 +65,7 @@ func noteUsage(w *World) {
 		usage.Grouped++
 	}
 	usage.Windows += w.Windows()
+	usage.Dispatches += w.eng.Dispatches()
 	for len(usage.Events) < len(gs) {
 		usage.Events = append(usage.Events, 0)
 	}

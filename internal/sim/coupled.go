@@ -3,16 +3,17 @@ package sim
 // Coupled conservative-lookahead engine (DESIGN.md §11, scaling
 // internals §14).
 //
-// CoupledEngine runs the process-coupled stacks (internal/runtime and
-// the mpi/shmem/comm layers above it) under the same YAWNS-style
-// conservative-window protocol as ShardedEngine, but with sequential
-// Engines as the substrate so blocking procs, condition variables and
-// arbitrary event closures keep working unchanged. Ranks are grouped
-// by fabric node (same node ⟺ stateless shared-memory delivery), each
-// group owns a private Engine, and every window executes each group's
-// events in [minNext, minNext+lookahead) — in parallel across up to
-// `workers` persistent pool workers — before a single-threaded
-// barrier applies the window's deferred cross-group operations.
+// CoupledEngine is the one parallel engine: it runs the
+// process-coupled stacks (internal/runtime and the mpi/shmem/comm
+// layers above it) under a YAWNS-style conservative-window protocol,
+// with sequential Engines as the substrate so blocking procs,
+// condition variables and arbitrary event closures keep working
+// unchanged. Ranks are grouped by fabric node (same node ⟺ stateless
+// shared-memory delivery), each group owns a private Engine, and every
+// window executes each group's events in [minNext, minNext+lookahead)
+// — in parallel across up to `workers` persistent pool workers —
+// before a single-threaded barrier applies the window's deferred
+// cross-group operations.
 //
 // The window loop is built to scale to thousands of mostly-idle
 // groups (a 10K-rank dragonfly decomposes into 1024 node groups, of
@@ -59,11 +60,52 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 )
+
+const (
+	// counterBits is the per-rank deferred-op counter width inside an
+	// ordering key; the rank id occupies the bits above it.
+	counterBits = 40
+	counterMask = (1 << counterBits) - 1
+	// maxShardRanks bounds the rank id so rank<<counterBits cannot
+	// overflow the 64-bit key.
+	maxShardRanks = 1 << (64 - counterBits)
+
+	timeMax = Time(math.MaxInt64)
+
+	// DefaultMailboxCap bounds each group's deferred-op mailbox: the
+	// number of cross-group ops one group may emit within a single
+	// window. Exceeding it is a hard error (raise with SetMailboxCap),
+	// keeping worst-case memory proportional to groups × cap instead
+	// of unbounded.
+	DefaultMailboxCap = 1 << 20
+
+	// fnvOffsetBasis seeds every event-order digest (FNV-1a offset
+	// basis).
+	fnvOffsetBasis uint64 = 1469598103934665603
+)
+
+// mixDigest folds one word into an order-sensitive digest (FNV-style:
+// xor then multiply by the 64-bit FNV prime).
+func mixDigest(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
+
+// ShardStats is one node group's execution summary.
+type ShardStats struct {
+	// Ranks is the number of ranks placed in the group.
+	Ranks int
+	// Executed is the number of events the group dispatched.
+	Executed int64
+	// Busy is the wall-clock time spent executing the group's events
+	// (excluding barrier waits). On a single-core runner the sum of
+	// Busy over groups approaches the total wall time; on a
+	// multi-core runner wall time approaches max(Busy).
+	Busy time.Duration
+}
 
 // deferredOp is one cross-group operation awaiting the window barrier.
 type deferredOp struct {
@@ -377,8 +419,10 @@ func (ce *CoupledEngine) GroupStats() []ShardStats {
 }
 
 // BusyWall summarizes parallel efficiency for a run that took `wall`
-// of wall-clock time: summed per-group busy time divided by wall (see
-// ShardedEngine.BusyWall).
+// of wall-clock time: summed per-group busy time divided by wall. On
+// an N-core runner an ideally scaling workload approaches N; on a
+// single-core runner it approaches 1 from below, the gap being
+// barrier and scheduling overhead.
 func (ce *CoupledEngine) BusyWall(wall time.Duration) float64 {
 	if wall <= 0 {
 		return 0

@@ -1,13 +1,14 @@
 package sim_test
 
 // Tests for the coupled conservative-lookahead engine: construction
-// validation, the deferred-op mailbox bound, and the one-group
-// delegation path. The heavyweight invariance property (identical
+// validation, the deferred-op mailbox bound, the one-group delegation
+// path, and the time-overflow guard. The heavyweight invariance property (identical
 // digests at every worker count) is exercised end-to-end by
 // internal/conformance's TestShardCountInvariant* suite.
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -245,5 +246,44 @@ func TestCoupledWindowsWorkerInvariance(t *testing.T) {
 				workers, ce.Digest(), ce.Executed(), ce.Elapsed(),
 				ref.Digest(), ref.Executed(), ref.Elapsed())
 		}
+	}
+}
+
+// TestCoupledTimeOverflowDegradesToGlobalWindow checks the horizon
+// guard at the top of the time axis: when minNext + lookahead would
+// overflow the signed 64-bit clock, the engine must degrade to one
+// global window (w1 = maximum representable time) instead of wrapping
+// negative, and still execute every event with worker-count-invariant
+// digests.
+func TestCoupledTimeOverflowDegradesToGlobalWindow(t *testing.T) {
+	const n = 8
+	top := sim.Time(math.MaxInt64)
+	run := func(workers int) (uint64, uint64, uint64) {
+		t.Helper()
+		ce, err := sim.NewCoupled([]int{0, 1, 2, 3}, sim.Microsecond, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			// Every event sits within one lookahead of the clock maximum
+			// (the maximum itself is the idle-group sentinel), so the
+			// very first window triggers the overflow guard.
+			ce.Sub(i%4).At(top-1-sim.Time(i), func() {})
+		}
+		if err := ce.Run(); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		return ce.Executed(), ce.Windows(), ce.Digest()
+	}
+	exec1, win1, dig1 := run(1)
+	exec4, win4, dig4 := run(4)
+	if exec1 != n || exec4 != n {
+		t.Fatalf("executed %d / %d events, want %d", exec1, exec4, n)
+	}
+	if win1 != 1 || win4 != 1 {
+		t.Fatalf("ran %d / %d windows, want one global window", win1, win4)
+	}
+	if dig1 != dig4 {
+		t.Fatalf("degraded-window digest differs: %016x != %016x", dig1, dig4)
 	}
 }

@@ -144,10 +144,9 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // dispatched so far: each event's (firing time, ordering key) pair is
 // folded into an FNV-style hash in dispatch order. Two runs with
 // identical schedules produce equal digests; any reordering, jitter,
-// or divergent event set changes the value. The sharded engine
-// exposes the same construction per rank (ShardedEngine.RankDigest),
-// and the shard-determinism suite compares both to prove engine
-// schedules are invariant under the recorded shard count.
+// or divergent event set changes the value. CoupledEngine.Digest folds
+// the per-group digests, and the shard-determinism suite compares it
+// to prove engine schedules are invariant under the shard count.
 func (e *Engine) Digest() uint64 { return e.digest }
 
 // SetEventLimit installs a safety cap on dispatched events; Run returns

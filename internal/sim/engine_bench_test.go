@@ -5,9 +5,10 @@ package sim_test
 // allocs/op are per simulated iteration; ns/event (reported metric)
 // divides wall time by the number of dispatched events.
 //
-// CI gate: BenchmarkEngineSleepSignal and BenchmarkEngineSleepYield
-// must report 0 allocs/op at steady state (see .github/workflows/ci.yml
-// and the acceptance criteria in DESIGN.md §7).
+// CI gate: BenchmarkEngineSleepSignal, BenchmarkEngineSleepYield and
+// BenchmarkEngineCoupledWindows must report 0 allocs/op at steady
+// state (see .github/workflows/ci.yml and the acceptance criteria in
+// DESIGN.md §7 and §14).
 
 import (
 	"fmt"
@@ -49,32 +50,13 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 	reportPerEvent(b, e)
 }
 
-// BenchmarkEngineShardedPhold measures the conservative-parallel
-// engine on the PHOLD token storm at 1, 2, and 4 shards (8192 ranks,
-// block placement). Steady state must stay at 0 allocs/op — the
-// sharded gate in ci.yml enforces it alongside the sequential
-// engine's. On multi-core runners ns/event shrinks with shard count;
-// on single-core runners compare the busy/wall ratio recorded by
-// TestRecordShardedPerf instead.
-func BenchmarkEngineShardedPhold(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			e := simbench.ShardedPhold(8192, shards, b.N, 1)
-			if ev := e.Executed(); ev > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ev), "ns/event")
-			}
-		})
-	}
-}
-
 // BenchmarkEngineCoupledWindows measures the coupled engine's window
 // loop on the prepared-closure token storm (64 single-rank groups) at
 // 1, 2, and 4 workers. Steady state must stay at 0 allocs/op — the
 // dispatch path (persistent pool, active-set collection, min-tree
 // maintenance) and the barrier (pooled runs, k-way merge) reuse all
 // storage across windows; ci.yml gates on it. On single-core runners
-// compare busy/wall from TestRecordWindowEngine instead of ns/event.
+// compare the busy_wall TestRecordBench records instead of ns/event.
 func BenchmarkEngineCoupledWindows(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

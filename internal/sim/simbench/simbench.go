@@ -1,6 +1,6 @@
 // Package simbench holds the canonical engine hot-path workloads used
-// by the engine microbenchmarks, the BENCH_sim.json perf-trajectory
-// emitter, and the CI bench smoke job. Keeping them in one place
+// by the engine microbenchmarks, the BENCH_sim.json recorder
+// (TestRecordBench), and the CI bench smoke job. Keeping them in one place
 // guarantees that "before" and "after" measurements of an engine
 // change exercise byte-for-byte the same simulated work.
 //
@@ -9,10 +9,7 @@
 // wall-clock cost into ns/event.
 package simbench
 
-import (
-	"msgroofline/internal/netsim"
-	"msgroofline/internal/sim"
-)
+import "msgroofline/internal/sim"
 
 // PingPong is the steady-state Sleep/Signal workload: two processes
 // hand a condition-variable token back and forth n times. Each round
@@ -76,111 +73,6 @@ func TimerChurn(procs, n int) *sim.Engine {
 		panic(err)
 	}
 	return e
-}
-
-// pholdGroups is the fabric size of the sharded PHOLD workload: a
-// ring of nodes whose link latency supplies the lookahead bound.
-const pholdGroups = 16
-
-// kindToken is the single event kind of the PHOLD workload.
-const kindToken = 1
-
-// ShardedPhold is the conservative-parallel engine workload: a
-// PHOLD-style token storm on the ShardedEngine. `ranks` ranks are
-// block-mapped onto a 16-node ring fabric (one µs-latency link per
-// hop); the fabric's LookaheadBound is the engine lookahead, and
-// every token hop is delayed by lookahead plus the ring base latency
-// between the endpoints' nodes, so all cross-rank sends respect the
-// bound by construction. Each rank owns an LCG seeded from (seed,
-// rank); a token's next destination and timing jitter come from the
-// receiving rank's own stream, keeping the event population
-// shard-count-invariant. Roughly `events` events are dispatched in
-// total. The run panics on engine errors and returns the engine for
-// Executed/Digest/ShardStats inspection.
-func ShardedPhold(ranks, shards, events int, seed uint64) *sim.ShardedEngine {
-	e, err := NewShardedPhold(ranks, shards, events, seed)
-	if err != nil {
-		panic(err)
-	}
-	if err := e.Run(); err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// NewShardedPhold builds the PHOLD workload without running it, for
-// callers that want to time Run itself.
-func NewShardedPhold(ranks, shards, events int, seed uint64) (*sim.ShardedEngine, error) {
-	// Fabric: a ring of pholdGroups nodes; the link latency is the
-	// natural lookahead bound the sharded engine consumes.
-	net := netsim.New()
-	names := make([]string, pholdGroups)
-	for i := range names {
-		names[i] = string(rune('a' + i))
-	}
-	for i := range names {
-		net.AddLink(names[i], names[(i+1)%pholdGroups], 10e9, 2*sim.Microsecond, 1)
-	}
-	lookahead := net.LookaheadBound()
-
-	// Precomputed hop delays: lookahead + ring base latency keeps
-	// every cross-rank delay >= lookahead, including same-node pairs.
-	var delay [pholdGroups][pholdGroups]sim.Time
-	for i := range names {
-		for j := range names {
-			delay[i][j] = lookahead + net.BaseLatency(names[i], names[j])
-		}
-	}
-	nodeOf := make([]uint8, ranks)
-	for r := range nodeOf {
-		nodeOf[r] = uint8(r * pholdGroups / ranks)
-	}
-	// Per-rank LCG streams: all randomness a rank consumes comes from
-	// its own state, so token behavior is shard-count-invariant.
-	rng := make([]uint64, ranks)
-	for r := range rng {
-		rng[r] = seed*0x9e3779b97f4a7c15 + uint64(r)*0xbf58476d1ce4e5b9 + 1
-	}
-	step := func(r int) uint64 {
-		s := rng[r]*6364136223846793005 + 1442695040888963407
-		rng[r] = s
-		return s >> 17
-	}
-
-	e, err := sim.NewSharded(ranks, shards, lookahead, func(ctx *sim.ShardCtx, ev sim.ShardEvent) {
-		if ev.A == 0 {
-			return // token exhausted its hop budget
-		}
-		me := ctx.Self()
-		dst := int(step(me) % uint64(ranks))
-		d := delay[nodeOf[me]][nodeOf[dst]] + sim.Time(step(me)%1024)*sim.Nanosecond
-		ctx.Send(dst, d, kindToken, ev.A-1, ev.B)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Token population: enough concurrent tokens to keep every shard
-	// busy; hop budgets sized so total dispatched events ~= events.
-	tokens := ranks / 4
-	if tokens > 4096 {
-		tokens = 4096
-	}
-	if tokens > events {
-		tokens = events
-	}
-	if tokens < 1 {
-		tokens = 1
-	}
-	hops := events/tokens - 1
-	if hops < 0 {
-		hops = 0
-	}
-	for t := 0; t < tokens; t++ {
-		owner := t * ranks / tokens
-		at := sim.Time(t%977) * sim.Nanosecond
-		e.Seed(owner, at, kindToken, uint64(hops), uint64(t))
-	}
-	return e, nil
 }
 
 // CoupledWindows is the coupled-engine window-loop workload: a
