@@ -152,7 +152,7 @@ func BenchmarkFig4GPUAtomicCAS(b *testing.B) {
 	cfg := mc(b, "perlmutter-gpu")
 	var us float64
 	for i := 0; i < b.N; i++ {
-		lat, err := bench.CASLatency(cfg, 4, 1, 64)
+		lat, err := bench.CASLatencyCached(nil, cfg, 4, 1, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func BenchmarkFig10Split(b *testing.B) {
 	cfg := mc(b, "perlmutter-gpu")
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		pts, err := bench.SweepSplit(cfg, 4, []int64{1 << 20})
+		pts, err := bench.SweepSplitCached(nil, cfg, 4, []int64{1 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -293,11 +293,11 @@ func BenchmarkAblationSingleChannel(b *testing.B) {
 	cfg := mc(b, "perlmutter-gpu")
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		multi, err := bench.SweepSplit(cfg, 4, []int64{1 << 20})
+		multi, err := bench.SweepSplitCached(nil, cfg, 4, []int64{1 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
-		single, err := bench.SweepSplit(cfg, 1, []int64{1 << 20})
+		single, err := bench.SweepSplitCached(nil, cfg, 1, []int64{1 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}

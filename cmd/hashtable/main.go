@@ -22,7 +22,7 @@ func main() {
 	variant := flag.String("variant", "one-sided", "transport: "+comm.KindList()+" (alias: gpu = shmem)")
 	ranks := flag.Int("ranks", 4, "MPI ranks / GPU PEs")
 	blocks := flag.Int("blocks", 0, "GPU thread-block concurrency (gpu variant)")
-	common := cliflags.Register(flag.CommandLine, "hashtable", "off")
+	common := cliflags.RegisterKernel(flag.CommandLine, "hashtable")
 	flag.Parse()
 
 	stop, err := common.StartProfiles()
@@ -30,9 +30,6 @@ func main() {
 		fatal(err)
 	}
 	defer stop()
-	if _, err := common.OpenCache(); err != nil {
-		fatal(err)
-	}
 
 	perProcess := 2500
 	if args := flag.Args(); len(args) == 1 {

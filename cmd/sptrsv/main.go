@@ -26,7 +26,7 @@ func main() {
 	full := flag.Bool("full", false, "use the full M3D-C1-like factor (default: quick-scale)")
 	seed := flag.Int64("seed", 20230901, "matrix generator seed")
 	showMatrix := flag.Bool("matrix", false, "print the traffic heat map and hotspot pairs")
-	common := cliflags.Register(flag.CommandLine, "sptrsv", "off")
+	common := cliflags.RegisterKernel(flag.CommandLine, "sptrsv")
 	flag.Parse()
 
 	stop, err := common.StartProfiles()
@@ -34,9 +34,6 @@ func main() {
 		fatal(err)
 	}
 	defer stop()
-	if _, err := common.OpenCache(); err != nil {
-		fatal(err)
-	}
 
 	params := spmat.Params{N: 2400, MeanSnode: 24, Fill: 1.0, Seed: *seed}
 	if *full {

@@ -22,7 +22,7 @@ func main() {
 	variant := flag.String("variant", "two-sided", "transport: "+comm.KindList()+" (alias: gpu = shmem)")
 	verify := flag.Bool("verify", false, "carry real grid data and check against the serial reference (small grids)")
 	showMatrix := flag.Bool("matrix", false, "print the halo traffic heat map")
-	common := cliflags.Register(flag.CommandLine, "stencil", "off")
+	common := cliflags.RegisterKernel(flag.CommandLine, "stencil")
 	flag.Parse()
 
 	stop, err := common.StartProfiles()
@@ -30,9 +30,6 @@ func main() {
 		fatal(err)
 	}
 	defer stop()
-	if _, err := common.OpenCache(); err != nil {
-		fatal(err)
-	}
 
 	args := flag.Args()
 	if len(args) != 5 {

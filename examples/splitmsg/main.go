@@ -31,7 +31,7 @@ func main() {
 	}
 	for _, parts := range []int{2, 4, 8} {
 		fmt.Printf("splitting into %d messages:\n", parts)
-		pts, err := bench.SweepSplit(cfg, parts, volumes)
+		pts, err := bench.SweepSplitCached(nil, cfg, parts, volumes)
 		if err != nil {
 			log.Fatal(err)
 		}

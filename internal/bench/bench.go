@@ -480,7 +480,7 @@ func measureShmemPutSignal(cfg *machine.Config, npes, n int, b int64, shards int
 	src, dst := farPair(npes)
 	var elapsed sim.Time
 	heap := int(b) + 8*n + 64
-	j, err := shmem.NewJobSharded(cfg, npes, heap, shards)
+	j, err := shmem.NewJobOn(cfg, machine.GPUShmem, npes, heap, shards)
 	if err != nil {
 		return Point{}, err
 	}
@@ -570,14 +570,9 @@ func cachedTime(c *pointcache.Cache, k pointcache.Key, run func() (sim.Time, err
 	return el, err
 }
 
-// CASLatency measures the round-trip time of a GPU atomic
+// CASLatencyCached measures the round-trip time of a GPU atomic
 // compare-and-swap from PE 0 to dst (Fig 4 / §III-C), averaged over
-// reps back-to-back operations.
-func CASLatency(cfg *machine.Config, npes, dst, reps int) (sim.Time, error) {
-	return CASLatencyCached(nil, cfg, npes, dst, reps)
-}
-
-// CASLatencyCached is CASLatency memoized through the point cache
+// reps back-to-back operations, memoized through the point cache
 // (KindCAS, coordinates dst/reps). A nil cache simulates directly.
 func CASLatencyCached(c *pointcache.Cache, cfg *machine.Config, npes, dst, reps int) (sim.Time, error) {
 	k := pointcache.KeyOf(cfg, pointcache.KindCAS, machine.GPUShmem.String(), npes, dst, int64(reps))
@@ -606,15 +601,10 @@ func casLatency(cfg *machine.Config, npes, dst, reps int) (sim.Time, error) {
 	return total / sim.Time(reps), nil
 }
 
-// OneSidedCASLatency measures the CPU one-sided MPI_Compare_and_swap
-// round trip (the 2 us / 500K GUPS figure of §III-C).
-func OneSidedCASLatency(cfg *machine.Config, ranks, dst, reps int) (sim.Time, error) {
-	return OneSidedCASLatencyCached(nil, cfg, ranks, dst, reps)
-}
-
-// OneSidedCASLatencyCached is OneSidedCASLatency memoized through the
-// point cache (KindCAS under the one-sided transport name). A nil
-// cache simulates directly.
+// OneSidedCASLatencyCached measures the CPU one-sided
+// MPI_Compare_and_swap round trip (the 2 us / 500K GUPS figure of
+// §III-C), memoized through the point cache (KindCAS under the
+// one-sided transport name). A nil cache simulates directly.
 func OneSidedCASLatencyCached(pc *pointcache.Cache, cfg *machine.Config, ranks, dst, reps int) (sim.Time, error) {
 	k := pointcache.KeyOf(cfg, pointcache.KindCAS, machine.OneSided.String(), ranks, dst, int64(reps))
 	return cachedTime(pc, k, func() (sim.Time, error) { return oneSidedCASLatency(cfg, ranks, dst, reps) })
@@ -646,17 +636,12 @@ func oneSidedCASLatency(cfg *machine.Config, ranks, dst, reps int) (sim.Time, er
 	return total / sim.Time(reps), nil
 }
 
-// TriggerDelay measures the stream-triggered per-message delivery
-// latency: reps back-to-back 8-byte deliveries, receiver-timed and
-// averaged. With the host overhead nearly off the critical path the
-// number is dominated by L + TriggerLatency — the o/L inversion the
-// offload roofline plots.
-func TriggerDelay(cfg *machine.Config, ranks, reps int) (sim.Time, error) {
-	return TriggerDelayCached(nil, cfg, ranks, reps)
-}
-
-// TriggerDelayCached is TriggerDelay memoized through the point cache
-// (KindTrigger). A nil cache simulates directly.
+// TriggerDelayCached measures the stream-triggered per-message
+// delivery latency: reps back-to-back 8-byte deliveries,
+// receiver-timed and averaged. With the host overhead nearly off the
+// critical path the number is dominated by L + TriggerLatency — the
+// o/L inversion the offload roofline plots. It is memoized through
+// the point cache (KindTrigger); a nil cache simulates directly.
 func TriggerDelayCached(c *pointcache.Cache, cfg *machine.Config, ranks, reps int) (sim.Time, error) {
 	k := pointcache.KeyOf(cfg, pointcache.KindTrigger, machine.StreamTriggered.String(), ranks, reps, 8)
 	return cachedTime(c, k, func() (sim.Time, error) { return triggerDelay(cfg, ranks, reps) })
@@ -670,16 +655,12 @@ func triggerDelay(cfg *machine.Config, ranks, reps int) (sim.Time, error) {
 	return p.Elapsed / sim.Time(reps), nil
 }
 
-// ChannelOpen measures the memory channel's one-time open handshake:
-// the sender-timed cost of a single 8-byte send-and-drain on a cold
-// (never-opened) channel minus the same on the now-warm channel — the
-// difference is exactly the open cost, every per-message term cancels.
-func ChannelOpen(cfg *machine.Config, ranks int) (sim.Time, error) {
-	return ChannelOpenCached(nil, cfg, ranks)
-}
-
-// ChannelOpenCached is ChannelOpen memoized through the point cache
-// (KindChan). A nil cache simulates directly.
+// ChannelOpenCached measures the memory channel's one-time open
+// handshake: the sender-timed cost of a single 8-byte send-and-drain
+// on a cold (never-opened) channel minus the same on the now-warm
+// channel — the difference is exactly the open cost, every
+// per-message term cancels. It is memoized through the point cache
+// (KindChan); a nil cache simulates directly.
 func ChannelOpenCached(c *pointcache.Cache, cfg *machine.Config, ranks int) (sim.Time, error) {
 	k := pointcache.KeyOf(cfg, pointcache.KindChan, machine.MemChannel.String(), ranks, 0, 8)
 	return cachedTime(c, k, func() (sim.Time, error) { return channelOpen(cfg, ranks) })
@@ -723,16 +704,11 @@ type SplitPoint struct {
 	Speedup float64
 }
 
-// SweepSplit measures the Fig-10 experiment on a GPU machine: for
-// each volume, send it as one put-with-signal versus `parts` puts on
-// distinct injection channels, receiver waiting for all signals.
-func SweepSplit(cfg *machine.Config, parts int, volumes []int64) ([]SplitPoint, error) {
-	return SweepSplitCached(nil, cfg, parts, volumes)
-}
-
-// SweepSplitCached is SweepSplit with each (volume, parts) run
-// memoized through the point cache (KindSplit). A nil cache simulates
-// every run directly.
+// SweepSplitCached measures the Fig-10 experiment on a GPU machine:
+// for each volume, send it as one put-with-signal versus `parts` puts
+// on distinct injection channels, receiver waiting for all signals.
+// Each (volume, parts) run is memoized through the point cache
+// (KindSplit); a nil cache simulates every run directly.
 func SweepSplitCached(c *pointcache.Cache, cfg *machine.Config, parts int, volumes []int64) ([]SplitPoint, error) {
 	var out []SplitPoint
 	for _, v := range volumes {

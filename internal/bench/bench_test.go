@@ -149,19 +149,19 @@ func TestShmemSweep(t *testing.T) {
 func TestCASLatencies(t *testing.T) {
 	// Paper §III-C: Perlmutter GPU 0.8us; Summit 1.0 intra / 1.6
 	// cross; CPU one-sided ~2us.
-	pg, err := CASLatency(cfg(t, "perlmutter-gpu"), 4, 1, 10)
+	pg, err := CASLatencyCached(nil, cfg(t, "perlmutter-gpu"), 4, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if us := pg.Microseconds(); us < 0.6 || us > 1.0 {
 		t.Fatalf("Perlmutter GPU CAS = %.2fus", us)
 	}
-	in, _ := CASLatency(cfg(t, "summit-gpu"), 6, 1, 10)
-	cross, _ := CASLatency(cfg(t, "summit-gpu"), 6, 3, 10)
+	in, _ := CASLatencyCached(nil, cfg(t, "summit-gpu"), 6, 1, 10)
+	cross, _ := CASLatencyCached(nil, cfg(t, "summit-gpu"), 6, 3, 10)
 	if cross <= in {
 		t.Fatalf("cross-socket CAS (%v) should exceed in-island (%v)", cross, in)
 	}
-	cpu, err := OneSidedCASLatency(cfg(t, "perlmutter-cpu"), 2, 1, 10)
+	cpu, err := OneSidedCASLatencyCached(nil, cfg(t, "perlmutter-cpu"), 2, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestCASLatencies(t *testing.T) {
 
 func TestSweepSplitFig10(t *testing.T) {
 	volumes := []int64{1024, 16384, 131072, 1 << 20}
-	pts, err := SweepSplit(cfg(t, "perlmutter-gpu"), 4, volumes)
+	pts, err := SweepSplitCached(nil, cfg(t, "perlmutter-gpu"), 4, volumes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,13 +409,13 @@ func TestRunStatsHostFields(t *testing.T) {
 
 func TestCachedKernelsMatchUncached(t *testing.T) {
 	// CAS latencies and split runs memoize through the same cache and
-	// must return identical times cold, warm, and uncached.
+	// must return identical times cold, warm, and uncached (nil cache).
 	c, err := pointcache.New(pointcache.Mem, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	pg := cfg(t, "perlmutter-gpu")
-	plain, err := CASLatency(pg, 4, 1, 10)
+	plain, err := CASLatencyCached(nil, pg, 4, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestCachedKernelsMatchUncached(t *testing.T) {
 		t.Fatalf("CAS cache counters: %+v", st)
 	}
 	pc := cfg(t, "perlmutter-cpu")
-	mplain, err := OneSidedCASLatency(pc, 2, 1, 10)
+	mplain, err := OneSidedCASLatencyCached(nil, pc, 2, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestCachedKernelsMatchUncached(t *testing.T) {
 		t.Fatalf("MPI CAS diverged: %v vs %v", mplain, mwarm)
 	}
 	vols := []int64{1024, 131072}
-	sp, err := SweepSplit(pg, 4, vols)
+	sp, err := SweepSplitCached(nil, pg, 4, vols)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,13 @@
 //     (pointcache.Stats, hit/miss counters). Consumers name
 //     Sched.Host.Jobs etc. explicitly — the pre-split promoted
 //     fields (Sched.Jobs, Sched.Wall, ...) no longer exist.
-//   - CASLatency / OneSidedCASLatency and their *Cached variants
-//     measure the atomic probes; SweepSplit / SweepSplitCached run
-//     the Fig 10 experiment; Baseline fits roofline ceilings.
+//   - One entry point per probe kernel, each taking the point cache
+//     (nil simulates directly): CASLatencyCached and
+//     OneSidedCASLatencyCached measure the atomic probes,
+//     TriggerDelayCached and ChannelOpenCached the offload
+//     micro-numbers, and SweepSplitCached runs the Fig 10 experiment;
+//     PingPong and Flood are the classic baselines the roofline is
+//     compared against.
 //
 // All stats carried on Result.Sched are measurement-host metadata:
 // they vary run to run and must never be mixed into simulated output.

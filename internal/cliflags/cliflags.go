@@ -1,7 +1,7 @@
 // Package cliflags unifies the flag surface of the msgroofline
-// commands. Every binary — cmd/experiments, cmd/msgroof and the
-// per-kernel cmds (cmd/stencil, cmd/sptrsv, cmd/hashtable) — registers
-// the same shared knobs with identical names, defaults and help text:
+// commands. Every binary registers its shared knobs here, with
+// identical names, defaults and help text. The multi-point commands
+// (cmd/experiments, cmd/msgroof) register all six through Register:
 //
 //	-jobs N            worker concurrency for multi-point commands
 //	-shards N          engine shard count recorded on simulated worlds
@@ -10,12 +10,13 @@
 //	-cpuprofile FILE   pprof CPU profile
 //	-memprofile FILE   pprof heap profile on exit
 //
-// Commands that run a single simulation (the per-kernel cmds) accept
-// -jobs and -cache for surface uniformity; the knobs only change how
-// the multi-point commands schedule and memoize work, never what any
-// command prints on stdout. Stderr reporting goes through ReportSched
-// and ReportCache so every binary summarizes host scheduling and
-// cache traffic in the same format.
+// The per-kernel commands (cmd/stencil, cmd/sptrsv, cmd/hashtable) run
+// one simulation, so they have no points to schedule or memoize and
+// register only -shards and the two profile flags, through
+// RegisterKernel. None of the knobs ever changes what a command prints
+// on stdout. Stderr reporting goes through ReportSched, ReportCache
+// and ReportShards so every binary summarizes host scheduling, cache
+// traffic and shard use in the same format.
 package cliflags
 
 import (
@@ -58,20 +59,29 @@ type Common struct {
 	cpuFile *os.File
 }
 
-// Register installs the shared flags on fs. prog names the command in
-// error and summary output; defaultCache preserves each command's
-// historical cache default ("mem" for experiments, "off" elsewhere).
-// Call after flag definitions specific to the command, before
-// fs.Parse.
+// Register installs the flags of a multi-point command on fs: -jobs,
+// -cache and -cache-dir on top of RegisterKernel's. prog names the
+// command in error and summary output; defaultCache preserves each
+// command's historical cache default ("mem" for experiments, "off"
+// elsewhere). Call after flag definitions specific to the command,
+// before fs.Parse.
 func Register(fs *flag.FlagSet, prog, defaultCache string) *Common {
-	c := &Common{prog: prog}
+	c := RegisterKernel(fs, prog)
 	fs.IntVar(&c.Jobs, "jobs", runtime.NumCPU(),
 		"number of independent simulations run concurrently (output is byte-identical at any value)")
-	fs.IntVar(&c.Shards, "shards", 1,
-		"window worker parallelism of simulated worlds (output is byte-identical at any value)")
 	fs.StringVar(&c.CacheMode, "cache", defaultCache, "point-cache mode: off, mem or disk")
 	fs.StringVar(&c.CacheDir, "cache-dir", filepath.Join(os.TempDir(), "msgroofline-pointcache"),
 		"entry directory for -cache=disk")
+	return c
+}
+
+// RegisterKernel installs the flags of a single-simulation command on
+// fs: -shards, -cpuprofile and -memprofile. prog names the command in
+// error and summary output.
+func RegisterKernel(fs *flag.FlagSet, prog string) *Common {
+	c := &Common{prog: prog}
+	fs.IntVar(&c.Shards, "shards", 1,
+		"window worker parallelism of simulated worlds (output is byte-identical at any value)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	return c

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -17,25 +18,42 @@ func statFile(p string) (int64, error) {
 }
 
 // TestRegisterDefinesSharedSurface pins the unified flag surface:
-// every command registers exactly these shared knobs, with the same
-// names and defaults.
+// every multi-point command registers exactly the six shared knobs,
+// every per-kernel command exactly -shards and the profile flags, with
+// the same names and defaults.
 func TestRegisterDefinesSharedSurface(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	c := Register(fs, "test", "off")
-	for _, name := range []string{"jobs", "shards", "cache", "cache-dir", "cpuprofile", "memprofile"} {
-		if fs.Lookup(name) == nil {
-			t.Errorf("flag -%s not registered", name)
+	kernelFlags := []string{"cpuprofile", "memprofile", "shards"}
+	for _, tc := range []struct {
+		name     string
+		register func(fs *flag.FlagSet) *Common
+		want     []string
+	}{
+		{"multi-point", func(fs *flag.FlagSet) *Common { return Register(fs, "test", "off") },
+			[]string{"cache", "cache-dir", "cpuprofile", "jobs", "memprofile", "shards"}},
+		{"per-kernel", func(fs *flag.FlagSet) *Common { return RegisterKernel(fs, "test") }, kernelFlags},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		c := tc.register(fs)
+		var got []string
+		fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s command flags = %v, want %v", tc.name, got, tc.want)
+		}
+		if err := fs.Parse(nil); err != nil {
+			t.Fatal(err)
+		}
+		if c.Shards != 1 {
+			t.Errorf("%s: default -shards = %d, want 1", tc.name, c.Shards)
 		}
 	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	c := Register(fs, "test", "off")
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.Jobs != runtime.NumCPU() {
 		t.Errorf("default -jobs = %d, want NumCPU", c.Jobs)
-	}
-	if c.Shards != 1 {
-		t.Errorf("default -shards = %d, want 1", c.Shards)
 	}
 	if c.CacheMode != "off" {
 		t.Errorf("default -cache = %q, want the command's historical default", c.CacheMode)

@@ -23,6 +23,9 @@
 //     with open/credit semantics where ordering replaces per-op
 //     completion and quiet maps to channel drainage.
 //
+// The last three are one symmetric-heap runtime (internal/shmem) with
+// three put paths; only how a put reaches the wire, and Quiet, differ.
+//
 // The kernels in internal/{stencil,sptrsv,hashtable} are written once
 // against this interface; the transport is a table entry, not a
 // hand-written runner. Simulated clocks, op charging, and protocol op
@@ -345,12 +348,8 @@ func New(spec Spec) (Transport, error) {
 		return newRMA(spec, false)
 	case Notified:
 		return newRMA(spec, true)
-	case Shmem:
+	case Shmem, StreamTriggered, MemChannel:
 		return newShmem(spec)
-	case StreamTriggered:
-		return newStreamTriggered(spec)
-	case MemChannel:
-		return newMemChannel(spec)
 	}
 	return nil, fmt.Errorf("comm: unknown transport kind %d", int(spec.Kind))
 }

@@ -1,14 +1,44 @@
 package comm
 
 import (
+	"fmt"
+
+	"msgroofline/internal/gpu"
+	"msgroofline/internal/machine"
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/shmem"
 	"msgroofline/internal/sim"
 )
 
-// shmemT delegates to the internal/shmem NVSHMEM-style PGAS stack:
-// put_signal_nbi delivery (k=2: payload and signal charged as one
-// fused 2-op flight), wait_until_* receivers, blocking device
-// atomics, and fork/join thread-block contexts.
+// heapKinds maps the three symmetric-heap kinds onto the
+// internal/shmem put path each one runs:
+//
+//   - Shmem: NVSHMEM put_signal_nbi, injected at issue (k=2: payload
+//     and signal charged as one fused 2-op flight), with fork/join
+//     thread-block contexts;
+//   - StreamTriggered: the host enqueues each put as a descriptor on
+//     the rank's device stream for a near-zero op overhead, and the
+//     trigger engine fires it once its stream predecessor completed —
+//     the o/L split inverts relative to host-driven stacks;
+//   - MemChannel: every (src,dst) pair talks over an ordered
+//     runtime.Channel, so ordering replaces per-op completion (one op
+//     per message) and Quiet is channel drainage.
+//
+// All three share the runtime's wait_until_* receivers, blocking
+// atomics, dissemination barrier and trace hook; the signal word
+// rides the payload flight (+8 bytes). missing names an offloaded
+// transport in this package's error for a machine that lacks it;
+// internal/shmem reports a missing GPU-initiated transport itself.
+var heapKinds = map[Kind]struct {
+	transport machine.Transport
+	missing   string
+}{
+	Shmem:           {machine.GPUShmem, ""},
+	StreamTriggered: {machine.StreamTriggered, "stream-triggered"},
+	MemChannel:      {machine.MemChannel, "memory-channel"},
+}
+
+// shmemT is a comm transport over one internal/shmem job.
 type shmemT struct {
 	base
 	j *shmem.Job
@@ -17,38 +47,75 @@ type shmemT struct {
 	sigBase int
 }
 
-func newShmem(spec Spec) (*shmemT, error) {
-	var heap, sigBase int
+// streamT is the stream-triggered shmemT; only it exposes streams.
+type streamT struct{ *shmemT }
+
+// Stream exposes a rank's device stream for the conformance
+// stream-ordering oracle (StreamInspector).
+func (t streamT) Stream(rank int) *gpu.Stream { return t.j.PE(rank).Stream() }
+
+// memChanT is the memory-channel shmemT; only it exposes channels.
+type memChanT struct{ *shmemT }
+
+// Channels exposes a rank's outgoing channels for the conformance
+// channel-FIFO oracle (ChannelInspector).
+func (t memChanT) Channels(rank int) []*runtime.Channel { return t.j.PE(rank).Channels() }
+
+// heapGeometry sizes the per-rank symmetric heap for the spec's slot
+// geometry and returns the offset of its signal area.
+func (s Spec) heapGeometry() (heap, sigBase int) {
 	switch {
-	case spec.ExchangeSlots > 0:
+	case s.ExchangeSlots > 0:
 		// 2 parities x K data slots, then 2 parities x K signals.
-		sigBase = 2 * spec.ExchangeSlots * spec.SlotBytes
-		heap = sigBase + 2*spec.ExchangeSlots*8
-	case spec.StreamSlots != nil:
+		sigBase = 2 * s.ExchangeSlots * s.SlotBytes
+		heap = sigBase + 2*s.ExchangeSlots*8
+	case s.StreamSlots != nil:
 		maxSlots := 0
-		for _, n := range spec.StreamSlots {
-			if n > maxSlots {
-				maxSlots = n
-			}
+		for _, n := range s.StreamSlots {
+			maxSlots = max(maxSlots, n)
 		}
-		sigBase = spec.SlotBytes * maxSlots
+		sigBase = s.SlotBytes * maxSlots
 		heap = sigBase + 8*maxSlots + 64
-	case spec.SharedBytes > 0:
-		heap = spec.SharedBytes
+	case s.SharedBytes > 0:
+		heap = s.SharedBytes
 	}
-	j, err := shmem.NewJobSharded(spec.Machine, spec.Ranks, heap, spec.Shards)
+	return heap, sigBase
+}
+
+func newShmem(spec Spec) (Transport, error) {
+	hk := heapKinds[spec.Kind]
+	if _, ok := spec.Machine.Params(hk.transport); !ok && hk.missing != "" {
+		return nil, fmt.Errorf("comm: machine %s has no %s transport", spec.Machine.Name, hk.missing)
+	}
+	heap, sigBase := spec.heapGeometry()
+	j, err := shmem.NewJobOn(spec.Machine, hk.transport, spec.Ranks, heap, spec.Shards)
 	if err != nil {
 		return nil, err
 	}
 	spec.applyChaos(j.World(), j.World().Inst.Net)
+	for r := 0; r < spec.Ranks; r++ {
+		pe := j.PE(r)
+		if s := pe.Stream(); s != nil {
+			s.SetUnordered(spec.DebugUnordered)
+		}
+		for _, c := range pe.Channels() {
+			c.SetUnordered(spec.DebugUnordered)
+		}
+	}
 	t := &shmemT{base: base{spec: spec}, j: j, sigBase: sigBase}
 	if hook := t.attachTrace(); hook != nil {
 		j.SetPutHook(hook)
 	}
+	switch spec.Kind {
+	case StreamTriggered:
+		return streamT{t}, nil
+	case MemChannel:
+		return memChanT{t}, nil
+	}
 	return t, nil
 }
 
-func (t *shmemT) Kind() Kind        { return Shmem }
+func (t *shmemT) Kind() Kind        { return t.spec.Kind }
 func (t *shmemT) Caps() Caps        { return Caps{Atomics: true, Fused: true} }
 func (t *shmemT) Digest() uint64    { return t.j.Digest() }
 func (t *shmemT) Elapsed() sim.Time { return t.j.Elapsed() }
@@ -124,8 +191,7 @@ func (e *shEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	return out
 }
 
-// Deliver is one nvshmem put-with-signal: payload and signal in one
-// fused nonblocking operation (k=2).
+// Deliver is one fused put-with-signal (k=2) on the kind's put path.
 func (e *shEp) Deliver(peer, slot int, data []byte) {
 	stride := e.t.spec.SlotBytes
 	e.c.PutSignalNBI(peer, slot*stride, data, e.t.sigBase+8*slot, 1)
@@ -148,23 +214,39 @@ func (e *shEp) FetchAdd(peer, off int, delta uint64) uint64 {
 	return e.c.AtomicFetchAdd(peer, off, delta)
 }
 
-// FlushLocal is a no-op: blocking device atomics are complete when
-// they return, with no separate local-completion op to charge.
+// FlushLocal is a no-op: blocking atomics are complete when they
+// return, and puts complete by stream or channel order, with no
+// separate local-completion op to charge.
 func (e *shEp) FlushLocal(int) {}
 
-func (e *shEp) Lanes(want int) int { return want }
+// Lanes is want on shmem (GPU thread-block contexts) and 1 on the
+// offloaded kinds: their puts serialize through one device stream or
+// one channel per destination, so lanes would not add concurrency.
+func (e *shEp) Lanes(want int) int {
+	if e.t.spec.Kind == Shmem {
+		return want
+	}
+	return 1
+}
 
-// ForkJoin spreads body over lanes concurrent thread-block contexts.
+// ForkJoin spreads body over lanes concurrent thread-block contexts on
+// shmem and runs it inline on the offloaded kinds (spawning contexts
+// there would change the event order).
 func (e *shEp) ForkJoin(lanes int, body func(Endpoint, int)) {
+	if e.t.spec.Kind != Shmem {
+		for i := 0; i < lanes; i++ {
+			body(e, i)
+		}
+		return
+	}
 	e.c.ForkJoin(lanes, func(blk *shmem.Ctx, bi int) {
 		body(&shEp{t: e.t, c: blk, mask: e.mask, sigs: e.sigs}, bi)
 	})
 }
 
-func (e *shEp) BcastPut([]byte) {
-	panic("comm: shmem updates remotely with atomics (gate on Caps().Atomics)")
-}
+func (e *shEp) BcastPut([]byte)       { panic(e.noBroadcast()) }
+func (e *shEp) CollectPuts() [][]byte { panic(e.noBroadcast()) }
 
-func (e *shEp) CollectPuts() [][]byte {
-	panic("comm: shmem updates remotely with atomics (gate on Caps().Atomics)")
+func (e *shEp) noBroadcast() string {
+	return fmt.Sprintf("comm: %s updates remotely with atomics (gate on Caps().Atomics)", e.t.spec.Kind)
 }

@@ -499,7 +499,7 @@ func putsignalRun(ch chaos) (outcome, error) {
 	quietOff := sigBase + rounds*8
 	heap := quietOff + slotBytes
 
-	j, err := shmem.NewJobSharded(mach("summit-gpu"), pes, heap, ch.shards)
+	j, err := shmem.NewJobOn(mach("summit-gpu"), machine.GPUShmem, pes, heap, ch.shards)
 	if err != nil {
 		return outcome{}, err
 	}

@@ -98,17 +98,7 @@ func (w *Win) OpStats() (puts, gets, atomics int64) {
 // dstOff. Completion at the target is observed via Flush (origin
 // side) or by the target polling its memory/signals.
 func (r *Rank) Put(w *Win, dst, dstOff int, data []byte) {
-	r.putOn(w, dst, dstOff, data, r.ep.AutoChannel())
-}
-
-// PutChannel is Put with an explicit injection channel, used by the
-// message-splitting experiments (Fig 10) to pin sub-messages onto
-// distinct NVLink port groups.
-func (r *Rank) PutChannel(w *Win, dst, dstOff int, data []byte, ch int) {
-	r.putOn(w, dst, dstOff, data, ch)
-}
-
-func (r *Rank) putOn(w *Win, dst, dstOff int, data []byte, ch int) {
+	ch := r.ep.AutoChannel()
 	w.checkRange(dst, dstOff, len(data))
 	r.ep.ChargeOp(r.proc, r.comm.one)
 	n := int64(len(data))

@@ -52,18 +52,10 @@ func (f Faults) validate() error {
 // faultState is the shared runtime state behind an installed Faults
 // configuration.
 type faultState struct {
-	cfg    Faults
-	rng    uint64
-	maxR   int
-	rto    sim.Time
-	drops  int64
-	spikes int64
-}
-
-// FaultStats reports how many injected events have occurred so far.
-type FaultStats struct {
-	Drops  int64 // transmissions lost and retransmitted
-	Spikes int64 // latency spikes applied
+	cfg  Faults
+	rng  uint64
+	maxR int
+	rto  sim.Time
 }
 
 // SetFaults installs (or, with nil, removes) fault injection on the
@@ -85,15 +77,6 @@ func (n *Network) SetFaults(f *Faults) {
 		fs.rto = sim.Microsecond
 	}
 	n.faults = fs
-}
-
-// FaultStats returns cumulative injected-fault counters (zero when no
-// faults are installed).
-func (n *Network) FaultStats() FaultStats {
-	if n.faults == nil {
-		return FaultStats{}
-	}
-	return FaultStats{Drops: n.faults.drops, Spikes: n.faults.spikes}
 }
 
 // next is splitmix64 (same generator as sim's perturbation stream, but
@@ -125,11 +108,9 @@ func (fs *faultState) spike() sim.Time {
 // It returns the final delivery time.
 func (fs *faultState) apply(t sim.Time, resend func(at sim.Time) sim.Time) sim.Time {
 	if fs.cfg.SpikeProb > 0 && fs.roll() < fs.cfg.SpikeProb {
-		fs.spikes++
 		t += fs.spike()
 	}
 	for r := 0; fs.cfg.DropProb > 0 && r < fs.maxR && fs.roll() < fs.cfg.DropProb; r++ {
-		fs.drops++
 		t = resend(t + fs.rto)
 	}
 	return t

@@ -92,10 +92,6 @@ func (l *Link) ReservePacket(at, occupancy sim.Time) (start, arrive sim.Time) {
 	return start, start + l.lat
 }
 
-// FreeAt returns the earliest time a new message could begin
-// serializing on the link.
-func (l *Link) FreeAt() sim.Time { return l.freeAt }
-
 // Stats reports cumulative counters for the link.
 func (l *Link) Stats() LinkStats {
 	return LinkStats{

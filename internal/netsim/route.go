@@ -37,9 +37,6 @@ func (n *Network) SetRouting(r Routing) {
 	n.routing = r
 }
 
-// RoutingPolicy returns the configured policy.
-func (n *Network) RoutingPolicy() Routing { return n.routing }
-
 // AddDetour registers a candidate intermediate node for non-minimal
 // (Valiant-style) routes. Topology generators register one detour per
 // dragonfly group (a router) so adaptive routes can bounce traffic

@@ -1,10 +1,20 @@
-// Package shmem provides a simulated NVSHMEM-style PGAS layer for the
-// GPU machines: a symmetric heap per PE, device-initiated nonblocking
-// puts, the fused put-with-signal operation the paper's GPU codes use
-// (nvshmem_double_put_signal_nbi), signal waiting
-// (wait_until_all / wait_until_any), remote atomics
+// Package shmem is the simulator's symmetric-heap runtime: a
+// symmetric heap per PE, nonblocking puts, the fused put-with-signal
+// operation the paper's GPU codes use (nvshmem_double_put_signal_nbi),
+// signal waiting (wait_until_all / wait_until_any), remote atomics
 // (compare-and-swap, fetch-and-add), quiet, and a dissemination
 // barrier. Ring collectives live in the separate internal/ccl layer.
+//
+// A Job is built for one transport, which fixes how a put reaches the
+// wire; everything else is shared:
+//
+//   - machine.GPUShmem (NVSHMEM): the device injects at issue;
+//   - machine.StreamTriggered (stream-triggered MPI): the host
+//     enqueues a descriptor on the PE's gpu.Stream, which fires it at
+//     stream-dependency resolution;
+//   - machine.MemChannel (RAMC memory channels): the write rides the
+//     ordered runtime.Channel to its destination, and quiet drains
+//     the channels.
 //
 // GPU execution is modeled with contexts (Ctx): every PE gets one
 // kernel context, and ForkJoin spawns additional block contexts so
@@ -16,17 +26,21 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"msgroofline/internal/gpu"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 )
 
-// Job is one SHMEM program: npes PEs with symmetric heaps on a GPU
-// machine.
+// Job is one SHMEM program: npes PEs with symmetric heaps, whose puts
+// take one transport's path.
 type Job struct {
 	world *runtime.World
 	tp    machine.TransportParams
 	pes   []*PE
+	// put moves one validated put onto the wire; chosen from the
+	// transport at construction.
+	put func(c *Ctx, p putOp, data []byte, ch, ops int)
 	// putHook, when set, observes every user put at delivery time.
 	putHook PutHook
 }
@@ -39,21 +53,34 @@ type PutHook func(src, dst int, bytes int64, issue, deliver sim.Time)
 // barrier traffic excluded). Call before Launch.
 func (j *Job) SetPutHook(h PutHook) { j.putHook = h }
 
-// NewJob builds a SHMEM job with npes PEs, each exposing heapBytes of
-// symmetric memory. The machine must provide the GPUShmem transport.
-func NewJob(cfg *machine.Config, npes, heapBytes int) (*Job, error) {
-	return NewJobSharded(cfg, npes, heapBytes, 1)
+// transportNoun names each transport a Job can run on, as its
+// missing-transport error words it.
+var transportNoun = map[machine.Transport]string{
+	machine.GPUShmem:        "GPU-initiated",
+	machine.StreamTriggered: "stream-triggered",
+	machine.MemChannel:      "memory-channel",
 }
 
-// NewJobSharded is NewJob with a -shards worker count for the
+// NewJob builds an NVSHMEM job with npes PEs, each exposing heapBytes
+// of symmetric memory. The machine must provide the GPUShmem transport.
+func NewJob(cfg *machine.Config, npes, heapBytes int) (*Job, error) {
+	return NewJobOn(cfg, machine.GPUShmem, npes, heapBytes, 1)
+}
+
+// NewJobOn builds a job whose puts take transport t's path (GPUShmem,
+// StreamTriggered or MemChannel), with a -shards worker count for the
 // underlying world (see runtime.NewWorldSharded: PEs are grouped by
 // fabric node on the coupled conservative-lookahead engine, and
 // shards sets how many node groups execute concurrently; results are
 // byte-identical at every shard count).
-func NewJobSharded(cfg *machine.Config, npes, heapBytes, shards int) (*Job, error) {
-	tp, ok := cfg.Params(machine.GPUShmem)
+func NewJobOn(cfg *machine.Config, t machine.Transport, npes, heapBytes, shards int) (*Job, error) {
+	noun, ok := transportNoun[t]
 	if !ok {
-		return nil, fmt.Errorf("shmem: machine %s has no GPU-initiated transport", cfg.Name)
+		return nil, fmt.Errorf("shmem: %s is not a symmetric-heap transport", t)
+	}
+	tp, ok := cfg.Params(t)
+	if !ok {
+		return nil, fmt.Errorf("shmem: machine %s has no %s transport", cfg.Name, noun)
 	}
 	if heapBytes < 0 {
 		return nil, fmt.Errorf("shmem: negative heap size")
@@ -62,19 +89,39 @@ func NewJobSharded(cfg *machine.Config, npes, heapBytes, shards int) (*Job, erro
 	if err != nil {
 		return nil, err
 	}
-	j := &Job{world: w, tp: tp}
-	for pe := 0; pe < npes; pe++ {
-		eng := w.EngineOf(pe)
-		j.pes = append(j.pes, &PE{
+	j := &Job{world: w, tp: tp, put: (*Ctx).injectNow}
+	for id := 0; id < npes; id++ {
+		eng := w.EngineOf(id)
+		pe := &PE{
 			job:      j,
-			id:       pe,
-			ep:       w.Endpoint(pe),
+			id:       id,
+			ep:       w.Endpoint(id),
 			heap:     make([]byte, heapBytes),
 			landed:   sim.NewCond(eng),
 			quiesced: sim.NewCond(eng),
 			barSig:   make([]uint64, 64),
 			barCond:  sim.NewCond(eng),
-		})
+		}
+		pe.retire = func(sim.Time) {
+			pe.outstanding--
+			pe.quiesced.Broadcast()
+		}
+		j.pes = append(j.pes, pe)
+	}
+	switch t {
+	case machine.StreamTriggered:
+		j.put = (*Ctx).triggerOnStream
+		for _, pe := range j.pes {
+			pe.stream = gpu.NewStream(tp.TriggerLatency)
+		}
+	case machine.MemChannel:
+		j.put = (*Ctx).writeChannel
+		for _, pe := range j.pes {
+			pe.chans = make([]*runtime.Channel, npes)
+			for dst := range pe.chans {
+				pe.chans[dst] = runtime.NewChannel(pe.ep, dst, tp)
+			}
+		}
 	}
 	return j, nil
 }
@@ -107,16 +154,21 @@ func (j *Job) Launch(body func(c *Ctx)) error {
 	return j.world.Run()
 }
 
-// PE is one processing element (a GPU) with its symmetric heap.
+// PE is one processing element (a GPU, or a CPU rank on the
+// memory-channel path) with its symmetric heap.
 type PE struct {
 	job  *Job
 	id   int
 	ep   *runtime.Endpoint
 	heap []byte
 
-	outstanding int       // device-initiated puts not yet delivered
-	landed      *sim.Cond // signaled when data lands in this PE's heap
-	quiesced    *sim.Cond // signaled when one of this PE's puts completes
+	stream *gpu.Stream        // StreamTriggered: the descriptor queue
+	chans  []*runtime.Channel // MemChannel: one ordered channel per destination
+
+	outstanding int            // injected puts and barrier signals not yet delivered
+	landed      *sim.Cond      // signaled when data lands in this PE's heap
+	quiesced    *sim.Cond      // signaled when one of this PE's injections completes
+	retire      func(sim.Time) // completion callback of this PE's injections
 
 	barSig  []uint64 // internal barrier signal slots (per round)
 	barCond *sim.Cond
@@ -146,7 +198,17 @@ func (pe *PE) OpStats() (puts, atomics int64) { return pe.puts, pe.atomics }
 
 // Outstanding returns the number of this PE's puts still in flight
 // (conformance oracles check it is zero after Quiet and at exit).
+// Memory-channel puts are tracked by their channels instead.
 func (pe *PE) Outstanding() int { return pe.outstanding }
+
+// Stream returns the PE's device stream on the stream-triggered path
+// (nil otherwise); its fire log feeds the stream-ordering oracle.
+func (pe *PE) Stream() *gpu.Stream { return pe.stream }
+
+// Channels returns the PE's outgoing channels, indexed by destination
+// PE, on the memory-channel path (nil otherwise); their arrival logs
+// feed the channel-FIFO oracle.
+func (pe *PE) Channels() []*runtime.Channel { return pe.chans }
 
 // Ctx is an execution context: the kernel main context created by
 // Launch, or a block context created by ForkJoin. All communication
@@ -196,17 +258,21 @@ func (c *Ctx) ForkJoin(n int, body func(blk *Ctx, i int)) {
 	cond.WaitFor(c.proc, func() bool { return done == n })
 }
 
+// autoChannel asks a put path to take the PE's next round-robin
+// injection channel at the point where its transport picks one.
+const autoChannel = -1
+
 // PutNBI starts a nonblocking put of data into dst's heap at dstOff
 // (nvshmem_putmem_nbi). Completion is observed via Quiet.
 func (c *Ctx) PutNBI(dst, dstOff int, data []byte) {
-	c.putNBIOn(dst, dstOff, data, -1, 0, c.pe.ep.AutoChannel(), 1)
+	c.putNBIOn(dst, dstOff, data, -1, 0, autoChannel, 1)
 }
 
 // PutSignalNBI is the fused put-with-signal
 // (nvshmem_double_put_signal_nbi): data lands at dstOff, then the
 // uint64 signal at sigOff is set to sigVal, ordered after the data.
 func (c *Ctx) PutSignalNBI(dst, dstOff int, data []byte, sigOff int, sigVal uint64) {
-	c.putNBIOn(dst, dstOff, data, sigOff, sigVal, c.pe.ep.AutoChannel(), 2)
+	c.putNBIOn(dst, dstOff, data, sigOff, sigVal, autoChannel, 2)
 }
 
 // PutSignalNBICh is PutSignalNBI pinned to an injection channel, used
@@ -214,6 +280,16 @@ func (c *Ctx) PutSignalNBI(dst, dstOff int, data []byte, sigOff int, sigVal uint
 // distinct NVLink port groups.
 func (c *Ctx) PutSignalNBICh(dst, dstOff int, data []byte, sigOff int, sigVal uint64, ch int) {
 	c.putNBIOn(dst, dstOff, data, sigOff, sigVal, ch, 2)
+}
+
+// putOp is one validated put: everything its delivery needs, fixed
+// before the put takes its transport's path to the wire.
+type putOp struct {
+	src, dst *PE
+	off      int
+	sigOff   int // -1: no signal word
+	sigVal   uint64
+	bytes    int64 // payload plus the ridden signal word
 }
 
 func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, ch, ops int) {
@@ -230,42 +306,111 @@ func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, 
 	if sigOff >= 0 && sigOff+8 > len(target.heap) {
 		panic(fmt.Sprintf("shmem: signal offset %d outside PE %d heap", sigOff, dst))
 	}
-	// The fused operation charges both the put and the signal issue.
-	for i := 0; i < ops; i++ {
-		pe.ep.ChargeOp(c.proc, job.tp)
+	p := putOp{src: pe, dst: target, off: dstOff, sigOff: sigOff, sigVal: sigVal, bytes: int64(len(data))}
+	if sigOff >= 0 {
+		p.bytes += 8 // the signal word rides the same message
 	}
+	pe.puts++
+	job.put(c, p, data, ch, ops)
+}
+
+// land builds the delivery callback of one put from its final values
+// (capturing nothing that changes later keeps it one allocation): heap
+// write, signal word, hook and target wake, all on the target PE's
+// engine.
+func (p putOp) land(buf []byte, issue sim.Time) func(at sim.Time) {
+	return func(at sim.Time) {
+		copy(p.dst.heap[p.off:], buf)
+		runtime.ReleaseBuf(buf)
+		if p.sigOff >= 0 {
+			p.dst.SetUint64At(p.sigOff, p.sigVal)
+		}
+		if h := p.src.job.putHook; h != nil {
+			h(p.src.id, p.dst.id, p.bytes, issue, at)
+		}
+		p.dst.landed.Broadcast()
+	}
+}
+
+// channel resolves a put's injection channel.
+func (pe *PE) channel(ch int) int {
+	if ch == autoChannel {
+		return pe.ep.AutoChannel()
+	}
+	return ch
+}
+
+// stage copies a put's payload into a pooled buffer that the delivery
+// callback writes into the target heap and releases.
+func stage(data []byte) []byte {
 	buf := runtime.BorrowBuf(len(data))
 	copy(buf, data)
-	bytes := int64(len(data))
-	if sigOff >= 0 {
-		bytes += 8 // the signal word rides the same message
+	return buf
+}
+
+// injectNow is the NVSHMEM put path: the device charges ops (both the
+// put and the signal issue of a fused operation) and injects at once.
+func (c *Ctx) injectNow(p putOp, data []byte, ch, ops int) {
+	pe := c.pe
+	tp := pe.job.tp
+	ch = pe.channel(ch)
+	for i := 0; i < ops; i++ {
+		pe.ep.ChargeOp(c.proc, tp)
 	}
+	buf := stage(data)
 	pe.outstanding++
-	pe.puts++
-	issue := c.proc.Now()
-	// Split delivery: heap write, signal word, hook and target wake on
-	// the target PE's engine; completion accounting on this PE's.
-	pe.ep.Inject(job.tp, dst, bytes, ch, func(at sim.Time) {
-		copy(target.heap[dstOff:], buf)
-		runtime.ReleaseBuf(buf)
-		if sigOff >= 0 {
-			target.SetUint64At(sigOff, sigVal)
-		}
-		if job.putHook != nil {
-			job.putHook(pe.id, dst, bytes, issue, at)
-		}
-		target.landed.Broadcast()
-	}, func(at sim.Time) {
-		pe.outstanding--
-		pe.quiesced.Broadcast()
+	// Split delivery: land on the target PE's engine, completion
+	// accounting on this PE's.
+	pe.ep.Inject(tp, p.dst.id, p.bytes, ch, p.land(buf, c.proc.Now()), pe.retire)
+}
+
+// triggerOnStream is the stream-triggered put path: the host pays the
+// transport's OpsPerMsg enqueue ops (descriptor + doorbell), the
+// PE's stream computes the fire time, and the injection runs at the
+// fire — which the trace hook reports as the put's issue.
+func (c *Ctx) triggerOnStream(p putOp, data []byte, ch, _ int) {
+	pe := c.pe
+	tp := pe.job.tp
+	for i := 0; i < tp.OpsPerMsg; i++ {
+		pe.ep.ChargeOp(c.proc, tp)
+	}
+	buf := stage(data)
+	pe.outstanding++
+	fire := pe.stream.Enqueue(c.proc.Now())
+	wire := pe.channel(ch)
+	land := p.land(buf, fire)
+	c.proc.Engine().At(fire, func() {
+		pe.ep.Inject(tp, p.dst.id, p.bytes, wire, land, pe.retire)
 	})
 }
 
+// writeChannel is the memory-channel put path: the write rides the
+// ordered channel toward its destination, whose Send charges the one
+// op per message. The resequencer applies it after every earlier
+// write on the channel — that ordering is the signal's correctness.
+func (c *Ctx) writeChannel(p putOp, data []byte, ch, _ int) {
+	pe := c.pe
+	buf := stage(data)
+	issue := c.proc.Now()
+	pe.chans[p.dst.id].Send(c.proc, p.bytes, pe.channel(ch), p.land(buf, issue))
+}
+
 // Quiet blocks until all puts issued by this PE have completed
-// remotely (nvshmem_quiet).
+// remotely (nvshmem_quiet). The injecting paths charge one op; the
+// memory-channel path's native fence is draining every used channel.
+// All then wait out this PE's outstanding injections.
 func (c *Ctx) Quiet() {
-	c.pe.ep.ChargeOp(c.proc, c.pe.job.tp)
-	c.pe.quiesced.WaitFor(c.proc, func() bool { return c.pe.outstanding == 0 })
+	pe := c.pe
+	if pe.chans != nil {
+		for _, ch := range pe.chans {
+			if ch.Sent() > 0 {
+				ch.Drain(c.proc)
+			}
+		}
+	} else {
+		pe.ep.ChargeOp(c.proc, pe.job.tp)
+	}
+	pe.quiesced.WaitFor(c.proc, func() bool { return pe.outstanding == 0 })
 }
 
 // WaitUntilAll blocks until every listed local signal slot equals
@@ -301,10 +446,6 @@ func (c *Ctx) WaitUntilAny(sigOffs []int, mask []bool, val uint64) int {
 	})
 	return found
 }
-
-// Landed returns the condition signaled when any remote data lands in
-// this PE's heap; custom polling loops wait on it.
-func (pe *PE) Landed() *sim.Cond { return pe.landed }
 
 // AtomicCompareSwap performs a remote CAS on the uint64 at (dst, off):
 // if it equals cond it becomes val; the previous value is returned
@@ -357,12 +498,9 @@ func (c *Ctx) Barrier() {
 		pe.ep.Inject(job.tp, dst.id, 8, pe.ep.AutoChannel(), func(at sim.Time) {
 			dst.barSig[slot] = gen
 			dst.barCond.Broadcast()
-		}, func(at sim.Time) {
-			pe.outstanding--
-			pe.quiesced.Broadcast()
-		})
+		}, pe.retire)
 		mySlot := (seq*8 + round) % len(pe.barSig)
-		pe.barCond.WaitFor(c.proc, func() bool { return pe.barSig[mySlot] >= uint64(seq+1) })
+		pe.barCond.WaitFor(c.proc, func() bool { return pe.barSig[mySlot] >= gen })
 		round++
 	}
 }

@@ -26,6 +26,13 @@ func TestNewJobRequiresGPU(t *testing.T) {
 	if _, err := NewJob(cfg, 2, 64); err == nil {
 		t.Fatal("CPU machine should not offer GPU shmem")
 	}
+	if _, err := NewJobOn(cfg, machine.StreamTriggered, 2, 64, 1); err == nil {
+		t.Fatal("CPU machine should not offer stream-triggered puts")
+	}
+	gpu, _ := machine.Get("perlmutter-gpu")
+	if _, err := NewJobOn(gpu, machine.OneSided, 2, 64, 1); err == nil {
+		t.Fatal("one-sided MPI is not a symmetric-heap put path")
+	}
 }
 
 func TestPutSignalDelivery(t *testing.T) {

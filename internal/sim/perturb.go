@@ -169,9 +169,6 @@ func streamScript(script []PerturbDecision, lens []int, stream int) []PerturbDec
 	return script[off:end]
 }
 
-// Perturbed reports whether a perturbation mode is installed.
-func (e *Engine) Perturbed() bool { return e.perturb != nil }
-
 // rngNext is splitmix64: a tiny, stable PRNG so perturbed schedules
 // never depend on the Go version's math/rand internals.
 func (e *Engine) rngNext() uint64 {
