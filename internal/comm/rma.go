@@ -118,7 +118,7 @@ func (t *rma) AtomicCount() int64 {
 	if t.heapWin == nil {
 		return 0
 	}
-	_, _, atomics := t.heapWin.OpStats()
+	_, atomics := t.heapWin.OpStats()
 	return atomics
 }
 
@@ -128,12 +128,15 @@ func (t *rma) Launch(body func(Endpoint)) error {
 		if t.spec.StreamSlots != nil {
 			ep.expected = t.spec.StreamSlots[r.Rank()]
 			ep.mask = make([]bool, ep.expected)
+			// Signal words: after the data slots in the notified
+			// window, the whole of sigWin in strict mode.
+			base := 0
 			if t.notified {
-				base := t.spec.SlotBytes * ep.expected
-				ep.sigs = make([]int, ep.expected)
-				for i := range ep.sigs {
-					ep.sigs[i] = base + 8*i
-				}
+				base = t.spec.SlotBytes * ep.expected
+			}
+			ep.sigs = make([]int, ep.expected)
+			for i := range ep.sigs {
+				ep.sigs[i] = base + 8*i
 			}
 		}
 		body(ep)
@@ -147,7 +150,7 @@ type rmaEp struct {
 	// Streamed-delivery receive state.
 	expected int
 	mask     []bool
-	sigs     []int // notified: this rank's notification offsets
+	sigs     []int // this rank's signal-word offsets
 	got      int
 }
 
@@ -232,19 +235,7 @@ func (e *rmaEp) WaitAnySlot() (int, []byte) {
 		t.sync()
 		return i, t.ntfWin.Local(me)[i*stride : (i+1)*stride]
 	}
-	found := -1
-	t.sigWin.TargetSignal(me).WaitFor(e.r.Proc(), func() bool {
-		for i := 0; i < e.expected; i++ {
-			if e.mask[i] {
-				continue
-			}
-			if t.sigWin.Uint64At(me, 8*i) == 1 {
-				found = i
-				return true
-			}
-		}
-		return false
-	})
+	found := e.r.WaitNotifyAny(t.sigWin, e.sigs, e.mask, 1)
 	// Charge the scan over the remaining (unmasked) slots.
 	if t.spec.PollCheck > 0 {
 		e.r.Compute(t.spec.PollCheck * sim.Time(e.expected-e.got))

@@ -93,15 +93,7 @@ func newShmem(spec Spec) (Transport, error) {
 		return nil, err
 	}
 	spec.applyChaos(j.World(), j.World().Inst.Net)
-	for r := 0; r < spec.Ranks; r++ {
-		pe := j.PE(r)
-		if s := pe.Stream(); s != nil {
-			s.SetUnordered(spec.DebugUnordered)
-		}
-		for _, c := range pe.Channels() {
-			c.SetUnordered(spec.DebugUnordered)
-		}
-	}
+	j.SetDebugUnordered(spec.DebugUnordered)
 	t := &shmemT{base: base{spec: spec}, j: j, sigBase: sigBase}
 	if hook := t.attachTrace(); hook != nil {
 		j.SetPutHook(hook)

@@ -5,9 +5,9 @@
 //     (Isend/Irecv/Recv/Wait/Waitall) with an eager protocol and an
 //     unexpected-message queue, plus a dissemination Barrier built
 //     from real messages so synchronization pays realistic latency;
-//   - one-sided (MPI-3 RMA): windows with Put/Get/Accumulate,
+//   - one-sided (MPI-3 RMA): windows with Put, notified Put,
 //     Win_fence, Win_flush, Win_flush_local, Fetch_and_op and
-//     Compare_and_swap (see rma.go).
+//     Compare_and_swap over runtime.Segment (see rma.go).
 //
 // All costs (per-op overhead, injection gap, software latency, wire
 // time, link contention) come from the machine's calibrated transport
@@ -51,10 +51,9 @@ type Comm struct {
 	ntf    machine.TransportParams
 	hasNtf bool
 	ranks  []*Rank
-	wins   []*Win
 	// sendHook, when set, observes every user-level two-sided message
 	// at delivery time (internal barrier traffic is excluded).
-	sendHook MsgHook
+	sendHook runtime.DeliveryHook
 	// debugUnordered disables the per-(source, destination) arrival
 	// resequencer, exposing raw (possibly fault-reordered) network
 	// arrival order to the matching queue. Mutation-testing knob for
@@ -66,13 +65,9 @@ type Comm struct {
 // conformance suite can prove its oracles catch ordering bugs.
 func (c *Comm) SetDebugUnordered(v bool) { c.debugUnordered = v }
 
-// MsgHook observes a message: source, destination, payload size, the
-// time the sender issued it, and the time the last byte was delivered.
-type MsgHook func(src, dst int, bytes int64, issue, deliver sim.Time)
-
 // SetSendHook installs a hook observing user two-sided messages
 // (tag >= 0) at delivery. Call before Launch.
-func (c *Comm) SetSendHook(h MsgHook) { c.sendHook = h }
+func (c *Comm) SetSendHook(h runtime.DeliveryHook) { c.sendHook = h }
 
 // NewComm builds a communicator with n ranks on the named machine
 // configuration. The machine must offer two-sided MPI (CPU machines);
@@ -104,9 +99,7 @@ func NewCommSharded(cfg *machine.Config, n, shards int) (*Comm, error) {
 			id:      r,
 			ep:      w.Endpoint(r),
 			arrived: sim.NewCond(w.EngineOf(r)),
-			sendSeq: make([]uint64, n),
-			recvSeq: make([]uint64, n),
-			ooo:     make([][]*envelope, n),
+			peers:   make(map[int]*peer),
 		})
 	}
 	return c, nil
@@ -152,21 +145,37 @@ type Rank struct {
 	unexpected []*envelope // delivered but unmatched messages, FIFO
 	posted     []*Request  // posted receives not yet matched, FIFO
 
-	// Non-overtaking resequencer. MPI guarantees messages between one
-	// (source, destination) pair match in send order; the fault-injected
-	// network may deliver them out of order (a retransmitted message is
-	// legally overtaken). sendSeq[d] numbers sends to rank d, recvSeq[s]
-	// is the next sequence admitted from rank s, and ooo[s] buffers
-	// early arrivals until the gap fills. On an in-order network every
-	// arrival is admitted immediately, so default behavior is unchanged.
-	sendSeq []uint64
-	recvSeq []uint64
-	ooo     [][]*envelope
+	peers map[int]*peer // resequencer state of each peer talked to
 
 	barrierSeq int
 	collSeq    int
 	sendCount  int64
 	recvCount  int64
+}
+
+// peer is the non-overtaking resequencer state toward one peer. MPI
+// guarantees messages between one (source, destination) pair match in
+// send order; the fault-injected network may deliver them out of order
+// (a retransmitted message is legally overtaken). sendSeq numbers
+// sends to the peer, recvSeq is the next sequence admitted from it, and
+// ooo buffers its early arrivals until the gap fills. A record exists
+// only once the rank sent to or heard from the peer, so the state
+// grows with peers, not world size. Both halves run on the rank's own
+// engine.
+type peer struct {
+	sendSeq, recvSeq uint64
+	ooo              []*envelope
+}
+
+// peer returns the resequencer record for rank id, creating it on
+// first contact.
+func (r *Rank) peer(id int) *peer {
+	p := r.peers[id]
+	if p == nil {
+		p = &peer{}
+		r.peers[id] = p
+	}
+	return p
 }
 
 // envelope is a delivered two-sided message awaiting a matching recv.
@@ -208,8 +217,8 @@ func (r *Rank) PendingPosted() int { return len(r.posted) }
 // non-overtaking resequencer (always zero on an in-order network).
 func (r *Rank) PendingOutOfOrder() int {
 	n := 0
-	for _, q := range r.ooo {
-		n += len(q)
+	for _, p := range r.peers {
+		n += len(p.ooo)
 	}
 	return n
 }

@@ -35,8 +35,9 @@ func (r *Rank) Isend(dst, tag int, data []byte) *Request {
 	copy(buf, data)
 	target := r.comm.ranks[dst]
 	src := r.id
-	seq := r.sendSeq[dst]
-	r.sendSeq[dst]++
+	pr := r.peer(dst)
+	seq := pr.sendSeq
+	pr.sendSeq++
 	r.sendCount++
 	issue := r.proc.Now()
 	hook := r.comm.sendHook
@@ -119,26 +120,25 @@ func (r *Rank) deliver(env *envelope) {
 		r.admit(env)
 		return
 	}
-	src := env.src
-	if env.seq != r.recvSeq[src] {
-		r.ooo[src] = append(r.ooo[src], env)
+	p := r.peer(env.src)
+	if env.seq != p.recvSeq {
+		p.ooo = append(p.ooo, env)
 		return
 	}
-	r.recvSeq[src]++
+	p.recvSeq++
 	r.admit(env)
-	for next := r.takeOutOfOrder(src); next != nil; next = r.takeOutOfOrder(src) {
-		r.recvSeq[src]++
+	for next := p.takeOutOfOrder(); next != nil; next = p.takeOutOfOrder() {
+		p.recvSeq++
 		r.admit(next)
 	}
 }
 
-// takeOutOfOrder removes and returns the buffered arrival from src
-// whose sequence is next in line, or nil.
-func (r *Rank) takeOutOfOrder(src int) *envelope {
-	q := r.ooo[src]
-	for i, env := range q {
-		if env.seq == r.recvSeq[src] {
-			r.ooo[src] = append(q[:i], q[i+1:]...)
+// takeOutOfOrder removes and returns the buffered arrival whose
+// sequence is next in line, or nil.
+func (p *peer) takeOutOfOrder() *envelope {
+	for i, env := range p.ooo {
+		if env.seq == p.recvSeq {
+			p.ooo = append(p.ooo[:i], p.ooo[i+1:]...)
 			return env
 		}
 	}

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"msgroofline/internal/machine"
@@ -117,30 +116,6 @@ func TestFenceEpoch(t *testing.T) {
 		if got[rk] != byte(left+1) {
 			t.Fatalf("rank %d read %d after fence, want %d", rk, got[rk], left+1)
 		}
-	}
-}
-
-func TestGetRoundTrip(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 2)
-	w, _ := c.NewWin(16)
-	copy(w.Local(1), []byte{1, 2, 3, 4})
-	var got []byte
-	var elapsed sim.Time
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() == 0 {
-			start := r.Now()
-			got = r.Get(w, 1, 1, 3)
-			elapsed = r.Now() - start
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte{2, 3, 4}) {
-		t.Fatalf("get = %v", got)
-	}
-	if elapsed < sim.FromMicroseconds(1) {
-		t.Fatalf("get took %v, suspiciously fast for a round trip", elapsed)
 	}
 }
 
@@ -263,16 +238,15 @@ func TestOpStats(t *testing.T) {
 		if r.Rank() == 0 {
 			r.Put(w, 1, 0, []byte{1})
 			r.Flush(w, 1)
-			r.Get(w, 1, 0, 1)
 			r.CompareAndSwap(w, 1, 8, 0, 1)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	puts, gets, atomics := w.OpStats()
-	if puts != 1 || gets != 1 || atomics != 1 {
-		t.Fatalf("op stats = %d/%d/%d", puts, gets, atomics)
+	puts, atomics := w.OpStats()
+	if puts != 1 || atomics != 1 {
+		t.Fatalf("op stats = %d puts, %d atomics", puts, atomics)
 	}
 }
 
@@ -292,36 +266,4 @@ func TestNoOneSidedOnMachineWithoutRMA(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-}
-
-func TestAccumulateSums(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 3)
-	w, _ := c.NewWin(32)
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() == 0 {
-			return
-		}
-		// Ranks 1 and 2 accumulate concurrently into rank 0.
-		r.Accumulate(w, 0, 0, []float64{float64(r.Rank()), 10})
-		r.Flush(w, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got0 := mathFloat64(w.Local(0)[0:8])
-	got1 := mathFloat64(w.Local(0)[8:16])
-	if got0 != 3 { // 1 + 2
-		t.Fatalf("accumulated = %v, want 3", got0)
-	}
-	if got1 != 20 {
-		t.Fatalf("accumulated = %v, want 20", got1)
-	}
-}
-
-func mathFloat64(b []byte) float64 {
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits |= uint64(b[i]) << (8 * i)
-	}
-	return math.Float64frombits(bits)
 }

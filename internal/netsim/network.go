@@ -70,6 +70,18 @@ type Network struct {
 	faults *faultState
 }
 
+// bfsPool recycles bfs's node-sized arrays (most of a run's allocation
+// on generated fabrics). It is package level so that no pooled state
+// keeps a discarded network reachable.
+var bfsPool sync.Pool
+
+// bfsState is one breadth-first search's per-node working state.
+type bfsState struct {
+	prev  []int32
+	via   []*channelGroup
+	queue []int32
+}
+
 // xgroup is one outgoing edge of the index-based adjacency: the dense
 // index of the neighbour plus the channel group reaching it.
 type xgroup struct {
@@ -364,12 +376,22 @@ func (n *Network) resolvePath(sh *cacheShard, key [2]string) (*Path, error) {
 func (n *Network) bfs(src, dst string) ([]*channelGroup, error) {
 	si := int32(n.nodeIndex[src])
 	di := int32(n.nodeIndex[dst])
-	prev := make([]int32, len(n.nodes))
+	nn := len(n.nodes)
+	st, _ := bfsPool.Get().(*bfsState)
+	if st == nil || cap(st.prev) < nn {
+		st = &bfsState{prev: make([]int32, nn), via: make([]*channelGroup, nn), queue: make([]int32, 0, nn)}
+	}
+	prev, via, queue := st.prev[:nn], st.via[:nn], st.queue[:0]
+	defer func() {
+		// Drop this network's channel groups before pooling the state.
+		for _, x := range queue {
+			via[x] = nil
+		}
+		bfsPool.Put(st)
+	}()
 	for i := range prev {
 		prev[i] = -1
 	}
-	via := make([]*channelGroup, len(n.nodes))
-	queue := make([]int32, 0, len(n.nodes))
 	prev[si] = si // self-predecessor marks the root visited
 	queue = append(queue, si)
 	for qi := 0; qi < len(queue); qi++ {

@@ -228,14 +228,10 @@ func (w *World) Digest() uint64 { return w.eng.Digest() }
 func (w *World) Windows() uint64 { return w.eng.Windows() }
 
 // GroupStats returns per-node-group execution summaries.
-func (w *World) GroupStats() []sim.ShardStats { return w.eng.GroupStats() }
+func (w *World) GroupStats() []sim.GroupStats { return w.eng.GroupStats() }
 
 // BusyWall reports summed per-group busy time over wall time.
 func (w *World) BusyWall(wall time.Duration) float64 { return w.eng.BusyWall(wall) }
-
-// Coupled exposes the underlying coupled engine (Defer/At plumbing
-// for layers that extend the runtime).
-func (w *World) Coupled() *sim.CoupledEngine { return w.eng }
 
 // Endpoint is one rank's attachment to the fabric: its placement plus
 // a NIC with one or more injection channels, each pacing injections at

@@ -4,9 +4,11 @@
 // signal waiting (wait_until_all / wait_until_any), remote atomics
 // (compare-and-swap, fetch-and-add), quiet, and a dissemination
 // barrier. Ring collectives live in the separate internal/ccl layer.
+// The heaps are one runtime.Segment, which owns bounds checks, staging,
+// landing, completion counts, atomics and signal waits; this package
+// decides only what a put charges and how it reaches the wire.
 //
-// A Job is built for one transport, which fixes how a put reaches the
-// wire; everything else is shared:
+// A Job is built for one transport, which fixes that path:
 //
 //   - machine.GPUShmem (NVSHMEM): the device injects at issue;
 //   - machine.StreamTriggered (stream-triggered MPI): the host
@@ -23,7 +25,6 @@
 package shmem
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"msgroofline/internal/gpu"
@@ -36,22 +37,34 @@ import (
 // take one transport's path.
 type Job struct {
 	world *runtime.World
+	t     machine.Transport
 	tp    machine.TransportParams
+	heap  *runtime.Segment
 	pes   []*PE
 	// put moves one validated put onto the wire; chosen from the
 	// transport at construction.
-	put func(c *Ctx, p putOp, data []byte, ch, ops int)
-	// putHook, when set, observes every user put at delivery time.
-	putHook PutHook
+	put func(c *Ctx, p runtime.Put, ch, ops int)
+	// unordered is the DebugUnordered knob of the memory channels,
+	// applied to each channel as it opens.
+	unordered bool
 }
-
-// PutHook observes a put: source PE, destination PE, payload size
-// (including a ridden signal word), issue time and delivery time.
-type PutHook func(src, dst int, bytes int64, issue, deliver sim.Time)
 
 // SetPutHook installs a delivery observer for user puts (internal
 // barrier traffic excluded). Call before Launch.
-func (j *Job) SetPutHook(h PutHook) { j.putHook = h }
+func (j *Job) SetPutHook(h runtime.DeliveryHook) { j.heap.SetHook(h) }
+
+// SetDebugUnordered deliberately breaks the ordering contract of the
+// offloaded put paths — stream-triggered descriptors fire out of
+// order, memory channels apply writes in wire order — so the
+// conformance oracles can prove they catch it. Call before Launch.
+func (j *Job) SetDebugUnordered(v bool) {
+	j.unordered = v
+	for _, pe := range j.pes {
+		if pe.stream != nil {
+			pe.stream.SetUnordered(v)
+		}
+	}
+}
 
 // transportNoun names each transport a Job can run on, as its
 // missing-transport error words it.
@@ -89,24 +102,23 @@ func NewJobOn(cfg *machine.Config, t machine.Transport, npes, heapBytes, shards 
 	if err != nil {
 		return nil, err
 	}
-	j := &Job{world: w, tp: tp, put: (*Ctx).injectNow}
+	sizes := make([]int, npes)
+	for i := range sizes {
+		sizes[i] = heapBytes
+	}
+	heap, err := runtime.NewSegment(w, sizes)
+	if err != nil {
+		return nil, err
+	}
+	j := &Job{world: w, t: t, tp: tp, heap: heap, put: (*Ctx).injectNow}
 	for id := 0; id < npes; id++ {
-		eng := w.EngineOf(id)
-		pe := &PE{
-			job:      j,
-			id:       id,
-			ep:       w.Endpoint(id),
-			heap:     make([]byte, heapBytes),
-			landed:   sim.NewCond(eng),
-			quiesced: sim.NewCond(eng),
-			barSig:   make([]uint64, 64),
-			barCond:  sim.NewCond(eng),
-		}
-		pe.retire = func(sim.Time) {
-			pe.outstanding--
-			pe.quiesced.Broadcast()
-		}
-		j.pes = append(j.pes, pe)
+		j.pes = append(j.pes, &PE{
+			job:     j,
+			id:      id,
+			ep:      w.Endpoint(id),
+			barSig:  make([]uint64, 64),
+			barCond: sim.NewCond(w.EngineOf(id)),
+		})
 	}
 	switch t {
 	case machine.StreamTriggered:
@@ -116,12 +128,6 @@ func NewJobOn(cfg *machine.Config, t machine.Transport, npes, heapBytes, shards 
 		}
 	case machine.MemChannel:
 		j.put = (*Ctx).writeChannel
-		for _, pe := range j.pes {
-			pe.chans = make([]*runtime.Channel, npes)
-			for dst := range pe.chans {
-				pe.chans[dst] = runtime.NewChannel(pe.ep, dst, tp)
-			}
-		}
 	}
 	return j, nil
 }
@@ -157,58 +163,63 @@ func (j *Job) Launch(body func(c *Ctx)) error {
 // PE is one processing element (a GPU, or a CPU rank on the
 // memory-channel path) with its symmetric heap.
 type PE struct {
-	job  *Job
-	id   int
-	ep   *runtime.Endpoint
-	heap []byte
+	job *Job
+	id  int
+	ep  *runtime.Endpoint
 
-	stream *gpu.Stream        // StreamTriggered: the descriptor queue
-	chans  []*runtime.Channel // MemChannel: one ordered channel per destination
+	stream *gpu.Stream // StreamTriggered: the descriptor queue
+	// MemChannel: the ordered channel to each destination, opened on
+	// the first put to it (nil entries were never used).
+	chans []*runtime.Channel
 
-	outstanding int            // injected puts and barrier signals not yet delivered
-	landed      *sim.Cond      // signaled when data lands in this PE's heap
-	quiesced    *sim.Cond      // signaled when one of this PE's injections completes
-	retire      func(sim.Time) // completion callback of this PE's injections
-
-	barSig  []uint64 // internal barrier signal slots (per round)
+	// Internal barrier signal slots (per round), kept apart from the
+	// heap so barrier traffic never wakes heap waiters.
+	barSig  []uint64
 	barCond *sim.Cond
 	barSeq  int
-
-	puts, atomics int64
 }
 
 // ID returns the PE number.
 func (pe *PE) ID() int { return pe.id }
 
 // Heap returns the PE's symmetric heap for direct local access.
-func (pe *PE) Heap() []byte { return pe.heap }
+func (pe *PE) Heap() []byte { return pe.job.heap.Local(pe.id) }
 
 // Uint64At reads a little-endian uint64 at off in the local heap.
-func (pe *PE) Uint64At(off int) uint64 {
-	return binary.LittleEndian.Uint64(pe.heap[off : off+8])
-}
-
-// SetUint64At writes a little-endian uint64 at off in the local heap.
-func (pe *PE) SetUint64At(off int, v uint64) {
-	binary.LittleEndian.PutUint64(pe.heap[off:off+8], v)
-}
+func (pe *PE) Uint64At(off int) uint64 { return pe.job.heap.Uint64At(pe.id, off) }
 
 // OpStats returns cumulative put and atomic counts for this PE.
-func (pe *PE) OpStats() (puts, atomics int64) { return pe.puts, pe.atomics }
+func (pe *PE) OpStats() (puts, atomics int64) { return pe.job.heap.OpStats(pe.id) }
 
-// Outstanding returns the number of this PE's puts still in flight
-// (conformance oracles check it is zero after Quiet and at exit).
-// Memory-channel puts are tracked by their channels instead.
-func (pe *PE) Outstanding() int { return pe.outstanding }
+// Outstanding returns the number of this PE's puts and barrier
+// signals still in flight (conformance oracles check it is zero after
+// Quiet and at exit). Memory-channel puts are tracked by their
+// channels instead.
+func (pe *PE) Outstanding() int { return pe.job.heap.InFlight(pe.id) }
 
 // Stream returns the PE's device stream on the stream-triggered path
 // (nil otherwise); its fire log feeds the stream-ordering oracle.
 func (pe *PE) Stream() *gpu.Stream { return pe.stream }
 
 // Channels returns the PE's outgoing channels, indexed by destination
-// PE, on the memory-channel path (nil otherwise); their arrival logs
-// feed the channel-FIFO oracle.
+// PE, on the memory-channel path (nil otherwise, and nil entries for
+// destinations never written); their arrival logs feed the
+// channel-FIFO oracle.
 func (pe *PE) Channels() []*runtime.Channel { return pe.chans }
+
+// channelTo returns the channel to dst, opening it on first use.
+func (pe *PE) channelTo(dst int) *runtime.Channel {
+	if pe.chans == nil {
+		pe.chans = make([]*runtime.Channel, pe.job.NPEs())
+	}
+	c := pe.chans[dst]
+	if c == nil {
+		c = runtime.NewChannel(pe.ep, dst, pe.job.tp)
+		c.SetUnordered(pe.job.unordered)
+		pe.chans[dst] = c
+	}
+	return c
+}
 
 // Ctx is an execution context: the kernel main context created by
 // Launch, or a block context created by ForkJoin. All communication
@@ -265,7 +276,7 @@ const autoChannel = -1
 // PutNBI starts a nonblocking put of data into dst's heap at dstOff
 // (nvshmem_putmem_nbi). Completion is observed via Quiet.
 func (c *Ctx) PutNBI(dst, dstOff int, data []byte) {
-	c.putNBIOn(dst, dstOff, data, -1, 0, autoChannel, 1)
+	c.putNBIOn(dst, dstOff, data, runtime.NoSignal, 0, autoChannel, 1)
 }
 
 // PutSignalNBI is the fused put-with-signal
@@ -282,54 +293,9 @@ func (c *Ctx) PutSignalNBICh(dst, dstOff int, data []byte, sigOff int, sigVal ui
 	c.putNBIOn(dst, dstOff, data, sigOff, sigVal, ch, 2)
 }
 
-// putOp is one validated put: everything its delivery needs, fixed
-// before the put takes its transport's path to the wire.
-type putOp struct {
-	src, dst *PE
-	off      int
-	sigOff   int // -1: no signal word
-	sigVal   uint64
-	bytes    int64 // payload plus the ridden signal word
-}
-
 func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, ch, ops int) {
-	pe := c.pe
-	job := pe.job
-	if dst < 0 || dst >= job.NPEs() {
-		panic(fmt.Sprintf("shmem: put to invalid PE %d", dst))
-	}
-	target := job.pes[dst]
-	if dstOff < 0 || dstOff+len(data) > len(target.heap) {
-		panic(fmt.Sprintf("shmem: put [%d,%d) outside PE %d heap (%d bytes)",
-			dstOff, dstOff+len(data), dst, len(target.heap)))
-	}
-	if sigOff >= 0 && sigOff+8 > len(target.heap) {
-		panic(fmt.Sprintf("shmem: signal offset %d outside PE %d heap", sigOff, dst))
-	}
-	p := putOp{src: pe, dst: target, off: dstOff, sigOff: sigOff, sigVal: sigVal, bytes: int64(len(data))}
-	if sigOff >= 0 {
-		p.bytes += 8 // the signal word rides the same message
-	}
-	pe.puts++
-	job.put(c, p, data, ch, ops)
-}
-
-// land builds the delivery callback of one put from its final values
-// (capturing nothing that changes later keeps it one allocation): heap
-// write, signal word, hook and target wake, all on the target PE's
-// engine.
-func (p putOp) land(buf []byte, issue sim.Time) func(at sim.Time) {
-	return func(at sim.Time) {
-		copy(p.dst.heap[p.off:], buf)
-		runtime.ReleaseBuf(buf)
-		if p.sigOff >= 0 {
-			p.dst.SetUint64At(p.sigOff, p.sigVal)
-		}
-		if h := p.src.job.putHook; h != nil {
-			h(p.src.id, p.dst.id, p.bytes, issue, at)
-		}
-		p.dst.landed.Broadcast()
-	}
+	job := c.pe.job
+	job.put(c, job.heap.NewPut(c.pe.id, dst, dstOff, data, sigOff, sigVal), ch, ops)
 }
 
 // channel resolves a put's injection channel.
@@ -340,47 +306,36 @@ func (pe *PE) channel(ch int) int {
 	return ch
 }
 
-// stage copies a put's payload into a pooled buffer that the delivery
-// callback writes into the target heap and releases.
-func stage(data []byte) []byte {
-	buf := runtime.BorrowBuf(len(data))
-	copy(buf, data)
-	return buf
-}
-
 // injectNow is the NVSHMEM put path: the device charges ops (both the
 // put and the signal issue of a fused operation) and injects at once.
-func (c *Ctx) injectNow(p putOp, data []byte, ch, ops int) {
+func (c *Ctx) injectNow(p runtime.Put, ch, ops int) {
 	pe := c.pe
 	tp := pe.job.tp
 	ch = pe.channel(ch)
 	for i := 0; i < ops; i++ {
 		pe.ep.ChargeOp(c.proc, tp)
 	}
-	buf := stage(data)
-	pe.outstanding++
 	// Split delivery: land on the target PE's engine, completion
 	// accounting on this PE's.
-	pe.ep.Inject(tp, p.dst.id, p.bytes, ch, p.land(buf, c.proc.Now()), pe.retire)
+	pe.ep.Inject(tp, p.Target(), p.Bytes(), ch, p.Land(c.proc.Now()), p.Track())
 }
 
 // triggerOnStream is the stream-triggered put path: the host pays the
 // transport's OpsPerMsg enqueue ops (descriptor + doorbell), the
 // PE's stream computes the fire time, and the injection runs at the
 // fire — which the trace hook reports as the put's issue.
-func (c *Ctx) triggerOnStream(p putOp, data []byte, ch, _ int) {
+func (c *Ctx) triggerOnStream(p runtime.Put, ch, _ int) {
 	pe := c.pe
 	tp := pe.job.tp
 	for i := 0; i < tp.OpsPerMsg; i++ {
 		pe.ep.ChargeOp(c.proc, tp)
 	}
-	buf := stage(data)
-	pe.outstanding++
+	retire := p.Track()
 	fire := pe.stream.Enqueue(c.proc.Now())
 	wire := pe.channel(ch)
-	land := p.land(buf, fire)
+	dst, bytes, land := p.Target(), p.Bytes(), p.Land(fire)
 	c.proc.Engine().At(fire, func() {
-		pe.ep.Inject(tp, p.dst.id, p.bytes, wire, land, pe.retire)
+		pe.ep.Inject(tp, dst, bytes, wire, land, retire)
 	})
 }
 
@@ -388,11 +343,9 @@ func (c *Ctx) triggerOnStream(p putOp, data []byte, ch, _ int) {
 // ordered channel toward its destination, whose Send charges the one
 // op per message. The resequencer applies it after every earlier
 // write on the channel — that ordering is the signal's correctness.
-func (c *Ctx) writeChannel(p putOp, data []byte, ch, _ int) {
+func (c *Ctx) writeChannel(p runtime.Put, ch, _ int) {
 	pe := c.pe
-	buf := stage(data)
-	issue := c.proc.Now()
-	pe.chans[p.dst.id].Send(c.proc, p.bytes, pe.channel(ch), p.land(buf, issue))
+	pe.channelTo(p.Target()).Send(c.proc, p.Bytes(), pe.channel(ch), p.Land(c.proc.Now()))
 }
 
 // Quiet blocks until all puts issued by this PE have completed
@@ -401,29 +354,22 @@ func (c *Ctx) writeChannel(p putOp, data []byte, ch, _ int) {
 // All then wait out this PE's outstanding injections.
 func (c *Ctx) Quiet() {
 	pe := c.pe
-	if pe.chans != nil {
+	if pe.job.t == machine.MemChannel {
 		for _, ch := range pe.chans {
-			if ch.Sent() > 0 {
+			if ch != nil && ch.Sent() > 0 {
 				ch.Drain(c.proc)
 			}
 		}
 	} else {
 		pe.ep.ChargeOp(c.proc, pe.job.tp)
 	}
-	pe.quiesced.WaitFor(c.proc, func() bool { return pe.outstanding == 0 })
+	pe.job.heap.WaitQuiet(c.proc, pe.id)
 }
 
 // WaitUntilAll blocks until every listed local signal slot equals
 // val (nvshmem_uint64_wait_until_all).
 func (c *Ctx) WaitUntilAll(sigOffs []int, val uint64) {
-	c.pe.landed.WaitFor(c.proc, func() bool {
-		for _, off := range sigOffs {
-			if c.pe.Uint64At(off) != val {
-				return false
-			}
-		}
-		return true
-	})
+	c.pe.job.heap.WaitAll(c.proc, c.pe.id, sigOffs, val)
 }
 
 // WaitUntilAny blocks until at least one unmasked local signal slot
@@ -431,47 +377,20 @@ func (c *Ctx) WaitUntilAll(sigOffs []int, val uint64) {
 // mask[i] true means slot i is already consumed and is skipped; the
 // caller typically sets mask[i] after processing.
 func (c *Ctx) WaitUntilAny(sigOffs []int, mask []bool, val uint64) int {
-	found := -1
-	c.pe.landed.WaitFor(c.proc, func() bool {
-		for i, off := range sigOffs {
-			if mask != nil && mask[i] {
-				continue
-			}
-			if c.pe.Uint64At(off) == val {
-				found = i
-				return true
-			}
-		}
-		return false
-	})
-	return found
+	return c.pe.job.heap.WaitAny(c.proc, c.pe.id, sigOffs, mask, val)
 }
 
 // AtomicCompareSwap performs a remote CAS on the uint64 at (dst, off):
 // if it equals cond it becomes val; the previous value is returned
 // (nvshmem_uint64_atomic_compare_swap). Blocks for the round trip.
 func (c *Ctx) AtomicCompareSwap(dst, off int, cond, val uint64) uint64 {
-	target := c.pe.job.pes[dst]
-	c.pe.atomics++
-	return c.pe.ep.RemoteAtomic(c.proc, c.pe.job.tp, dst, func() uint64 {
-		old := target.Uint64At(off)
-		if old == cond {
-			target.SetUint64At(off, val)
-		}
-		return old
-	})
+	return c.pe.job.heap.CAS(c.proc, c.pe.job.tp, c.pe.id, dst, off, cond, val)
 }
 
 // AtomicFetchAdd atomically adds delta to the remote uint64 and
 // returns the previous value (nvshmem_uint64_atomic_fetch_add).
 func (c *Ctx) AtomicFetchAdd(dst, off int, delta uint64) uint64 {
-	target := c.pe.job.pes[dst]
-	c.pe.atomics++
-	return c.pe.ep.RemoteAtomic(c.proc, c.pe.job.tp, dst, func() uint64 {
-		old := target.Uint64At(off)
-		target.SetUint64At(off, old+delta)
-		return old
-	})
+	return c.pe.job.heap.FetchAdd(c.proc, c.pe.job.tp, c.pe.id, dst, off, delta)
 }
 
 // Barrier synchronizes all PEs (nvshmem_barrier_all): quiet, then a
@@ -492,13 +411,14 @@ func (c *Ctx) Barrier() {
 		dst := job.pes[(pe.id+k)%n]
 		slot := (seq*8 + round) % len(dst.barSig)
 		gen := uint64(seq + 1)
-		// Tiny internal message carrying the round signal.
+		// Tiny internal message carrying the round signal; its
+		// completion counts toward Quiet like a put's.
 		pe.ep.ChargeOp(c.proc, job.tp)
-		pe.outstanding++
+		retire := job.heap.Track(pe.id, dst.id)
 		pe.ep.Inject(job.tp, dst.id, 8, pe.ep.AutoChannel(), func(at sim.Time) {
 			dst.barSig[slot] = gen
 			dst.barCond.Broadcast()
-		}, pe.retire)
+		}, retire)
 		mySlot := (seq*8 + round) % len(pe.barSig)
 		pe.barCond.WaitFor(c.proc, func() bool { return pe.barSig[mySlot] >= gen })
 		round++

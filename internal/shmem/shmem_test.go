@@ -318,3 +318,42 @@ func TestPutBoundsPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestMemChannelsOpenOnFirstPut(t *testing.T) {
+	cfg, _ := machine.Get("perlmutter-cpu")
+	j, err := NewJobOn(cfg, machine.MemChannel, 4, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chans := j.PE(0).Channels(); chans != nil {
+		t.Fatalf("channels open before any put: %v", chans)
+	}
+	err = j.Launch(func(c *Ctx) {
+		if c.MyPE() == 0 {
+			c.PutNBI(2, 0, []byte{7})
+			c.PutNBI(2, 8, []byte{8})
+			c.Quiet()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chans := j.PE(0).Channels()
+	if len(chans) != 4 {
+		t.Fatalf("PE 0 has %d channel slots, want one per destination (4)", len(chans))
+	}
+	for dst, ch := range chans {
+		switch {
+		case dst == 2 && (ch == nil || ch.Dst() != 2 || ch.Sent() != 2 || ch.InFlight() != 0):
+			t.Fatalf("channel to PE 2 = %+v, want 2 writes sent and drained", ch)
+		case dst != 2 && ch != nil:
+			t.Fatalf("channel to unused PE %d was opened", dst)
+		}
+	}
+	if chans := j.PE(1).Channels(); chans != nil {
+		t.Fatalf("PE 1 never put but has channels %v", chans)
+	}
+	if got := j.PE(2).Heap()[8]; got != 8 {
+		t.Fatalf("second write not applied: heap[8] = %d", got)
+	}
+}

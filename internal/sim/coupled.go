@@ -94,8 +94,8 @@ const (
 // xor then multiply by the 64-bit FNV prime).
 func mixDigest(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
 
-// ShardStats is one node group's execution summary.
-type ShardStats struct {
+// GroupStats is one node group's execution summary.
+type GroupStats struct {
 	// Ranks is the number of ranks placed in the group.
 	Ranks int
 	// Executed is the number of events the group dispatched.
@@ -403,11 +403,11 @@ func (ce *CoupledEngine) Digest() uint64 {
 // GroupStats returns per-group execution summaries in group order. An
 // inline run measures busy time once for the whole loop; it is
 // attributed to groups proportionally to their executed events.
-func (ce *CoupledEngine) GroupStats() []ShardStats {
-	out := make([]ShardStats, len(ce.subs))
+func (ce *CoupledEngine) GroupStats() []GroupStats {
+	out := make([]GroupStats, len(ce.subs))
 	var total int64
 	for g, sub := range ce.subs {
-		out[g] = ShardStats{Ranks: ce.nranks[g], Executed: int64(sub.Executed()), Busy: ce.busy[g]}
+		out[g] = GroupStats{Ranks: ce.nranks[g], Executed: int64(sub.Executed()), Busy: ce.busy[g]}
 		total += out[g].Executed
 	}
 	if ce.loopBusy > 0 && total > 0 {
