@@ -298,11 +298,14 @@ type Endpoint interface {
 	// rank have arrived and returns their payloads in recvs order.
 	// Returned slices alias transport memory where windows exist and
 	// are only valid until the next epoch of the same parity.
+	// Send payloads must stay unchanged until Exchange returns.
 	Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte
 
 	// Deliver streams data into (peer, slot) with arrival signaling,
 	// using the transport's protocol: eager Isend, strict 4-op
-	// put/flush/put/flush, fused put-with-signal.
+	// put/flush/put/flush, fused put-with-signal. One-sided kinds
+	// land straight from data, so it must stay unchanged until Quiet
+	// returns or the peer has consumed the slot.
 	Deliver(peer, slot int, data []byte)
 	// WaitAnySlot blocks for the next undelivered slot and returns
 	// its index and payload (window transports return the full slot
@@ -315,9 +318,11 @@ type Endpoint interface {
 	// FetchAdd atomically adds delta at (peer, off), returning the
 	// old value.
 	FetchAdd(peer, off int, delta uint64) uint64
-	// FlushLocal forces local completion of outstanding RMA toward
+	// FlushLocal charges local completion of outstanding RMA toward
 	// peer (a charged MPI op); a no-op where ops complete fused
-	// (notified access) or blocking (shmem atomics).
+	// (notified access) or blocking (shmem atomics). It does not
+	// release put origin buffers: they stay in use until remote
+	// completion.
 	FlushLocal(peer int)
 
 	// Lanes reports how many concurrent lanes ForkJoin can actually

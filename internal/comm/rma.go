@@ -254,8 +254,8 @@ func (e *rmaEp) FetchAdd(peer, off int, delta uint64) uint64 {
 	return e.r.FetchAndAdd(e.t.heapWin, peer, off, delta)
 }
 
-// FlushLocal completes outstanding RMA toward peer locally — a
-// charged MPI op on the strict path; fused notified-access ops are
+// FlushLocal charges local completion of outstanding RMA toward peer
+// — an MPI op on the strict path; fused notified-access ops are
 // already locally complete, so notified mode skips it.
 func (e *rmaEp) FlushLocal(peer int) {
 	if e.t.notified {

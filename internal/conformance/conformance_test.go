@@ -2,8 +2,10 @@ package conformance
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 )
 
@@ -105,6 +107,30 @@ func TestStreamMutationCaught(t *testing.T) { mutationCaught(t, "streamorder") }
 // bypassed, caught by the chanfifo arrival-order oracle once fault
 // injection reorders the wire.
 func TestChannelMutationCaught(t *testing.T) { mutationCaught(t, "chanfifo") }
+
+// TestOriginReuseCaught: a PE rewriting its payload between
+// PutSignalNBI and Quiet fails the run with the origin guard's error;
+// with the guard off (impossible in race builds, which force it on)
+// the same run completes. It is not a sweep case, so the matrix keeps
+// its 24 cells.
+func TestOriginReuseCaught(t *testing.T) {
+	guarded := kcase{"originreuse", Shmem, func(chaos) (outcome, error) { return originReuseRun(true) }}
+	_, err := runCase(guarded, chaos{})
+	if err == nil || !strings.Contains(err.Error(), runtime.ErrOriginModified.Error()) {
+		t.Fatalf("rewritten origin buffer not caught: %v", err)
+	}
+	t.Logf("caught: %v", err)
+	if runtime.OriginGuardForced {
+		return
+	}
+	out, err := originReuseRun(false)
+	if err != nil {
+		t.Fatalf("unguarded run failed: %v", err)
+	}
+	if !strings.HasPrefix(out.fp, "slot=02") {
+		t.Fatalf("unguarded landing did not copy the rewritten payload: %s", out.fp)
+	}
+}
 
 // TestCleanWithoutFaults checks the schedule fuzzer alone (drops and
 // spikes disabled): pure same-timestamp reordering plus jitter must

@@ -718,3 +718,32 @@ func chanfifoRun(ch chaos) (outcome, error) {
 	}
 	return outcome{fp: fmt.Sprintf("chan=%016x", h.Sum64()), digest: tr.Digest()}, nil
 }
+
+// originReuseRun is the origin-buffer mutation kernel, kept outside
+// the sweep matrix: PE 0 rewrites its payload after PutSignalNBI and
+// before Quiet, which the put contract forbids. With the job's origin
+// guard on, the landing must fail with runtime.ErrOriginModified; with
+// it off, the run completes and PE 1 receives the rewritten bytes.
+func originReuseRun(guard bool) (outcome, error) {
+	const slot = 32
+	j, err := shmem.NewJobOn(mach("summit-gpu"), machine.GPUShmem, 2, slot+8, 1)
+	if err != nil {
+		return outcome{}, err
+	}
+	j.SetDebugOriginGuard(guard)
+	err = j.Launch(func(c *shmem.Ctx) {
+		switch c.MyPE() {
+		case 0:
+			payload := bytes.Repeat([]byte{1}, slot)
+			c.PutSignalNBI(1, 0, payload, slot, 1)
+			payload[0] = 2
+			c.Quiet()
+		case 1:
+			c.WaitUntilAll([]int{slot}, 1)
+		}
+	})
+	if err != nil {
+		return outcome{}, err
+	}
+	return outcome{fp: fmt.Sprintf("slot=%x", j.PE(1).Heap()[:slot]), digest: j.Digest()}, nil
+}

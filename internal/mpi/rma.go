@@ -64,7 +64,11 @@ func (w *Win) Uint64At(rank, off int) uint64 { return w.seg.Uint64At(rank, off) 
 
 // Put starts a nonblocking RMA put of data into dst's window at
 // dstOff: one op. Completion at the target is observed via Flush
-// (origin side) or by the target polling its memory/signals.
+// (origin side) or by the target polling its memory/signals. The put
+// lands straight from data, so data must stay unchanged until the put
+// completes remotely (Flush, FlushAll or Fence returns, or the target
+// observes it); FlushLocal does not release it. Across node groups
+// the rule is stricter; see runtime.Put.Land.
 func (r *Rank) Put(w *Win, dst, dstOff int, data []byte) {
 	ch := r.ep.AutoChannel()
 	put := w.seg.NewPut(r.id, dst, dstOff, data, runtime.NoSignal, 0)
@@ -79,7 +83,8 @@ func (r *Rank) Put(w *Win, dst, dstOff int, data []byte) {
 // one fused operation — one flight, one remote-completion event, both
 // halves charged at the origin (2 ops) — instead of the standard 4-op
 // put/flush/put/flush protocol. It requires the machine's
-// NotifiedAccess transport.
+// NotifiedAccess transport. As with Put, data must stay unchanged
+// until the put completes remotely.
 func (r *Rank) PutNotify(w *Win, dst, dstOff int, data []byte, sigOff int, sigVal uint64) error {
 	if !r.comm.hasNtf {
 		return fmt.Errorf("mpi: machine has no notified-access transport")
@@ -107,9 +112,10 @@ func (r *Rank) FlushAll(w *Win) {
 	w.seg.WaitQuiet(r.proc, r.id)
 }
 
-// FlushLocal completes puts locally (the origin buffer is reusable);
-// with the eager/copying model this costs only the library call
-// (MPI_Win_flush_local).
+// FlushLocal is MPI_Win_flush_local: it charges only the library
+// call. Puts land straight from their origin buffers, so it does not
+// make them reusable early; that still takes remote completion (Flush,
+// FlushAll or Fence).
 func (r *Rank) FlushLocal(w *Win, dst int) {
 	r.ep.ChargeOp(r.proc, r.comm.one)
 }

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/maphash"
 	"sync"
 
 	"msgroofline/internal/machine"
@@ -22,20 +24,25 @@ const NoSignal = -1
 // Segment is remote-exposed memory, one buffer per rank of a world:
 // the single implementation under MPI RMA windows and SHMEM heaps,
 // which differ only in the ops a put charges and how it reaches the
-// wire. The segment owns bounds checks, payload staging, the landing
-// (copy, optional signal word, hook, wake), completion counting,
-// atomics and signal waits. A rank's buffer and landed cond are
-// touched only by landings on its engine, its origin-side counts only
-// by its own puts and their completions.
+// wire. The segment owns bounds checks, the landing (the payload's one
+// copy, optional signal word, hook, wake), completion counting,
+// atomics and signal waits. A rank's buffer is allocated on first
+// touch, so ranks nothing reads or writes cost no memory. A rank's
+// buffer and landed cond are touched only on its engine (landings,
+// atomics, its own reads and waits), its origin-side counts only by
+// its own puts and their completions.
 type Segment struct {
 	world *World
 	ranks []segRank
 	hook  DeliveryHook
+	// guard turns on the origin-reuse check (SetOriginGuard).
+	guard bool
 }
 
 // segRank is one rank's share of a segment, as target and as origin.
 type segRank struct {
-	buf    []byte
+	size   int
+	buf    []byte    // nil until first touch; see mem
 	landed *sim.Cond // a put landed in buf
 
 	// retired is signaled whenever one of the rank's tracked
@@ -63,16 +70,24 @@ func NewSegment(w *World, sizes []int) (*Segment, error) {
 	if len(sizes) != w.Size() {
 		return nil, fmt.Errorf("runtime: segment needs %d sizes, got %d", w.Size(), len(sizes))
 	}
-	s := &Segment{world: w, ranks: make([]segRank, len(sizes))}
+	s := &Segment{world: w, ranks: make([]segRank, len(sizes)), guard: OriginGuardForced}
 	for r, n := range sizes {
 		if n < 0 {
 			return nil, fmt.Errorf("runtime: rank %d: negative segment size", r)
 		}
 		eng := w.EngineOf(r)
-		s.ranks[r] = segRank{buf: make([]byte, n), landed: sim.NewCond(eng), retired: sim.NewCond(eng),
+		s.ranks[r] = segRank{size: n, landed: sim.NewCond(eng), retired: sim.NewCond(eng),
 			toTarget: make(map[int]*flights)}
 	}
 	return s, nil
+}
+
+// mem returns the rank's buffer, allocating it zeroed on first touch.
+func (r *segRank) mem() []byte {
+	if r.buf == nil {
+		r.buf = make([]byte, r.size)
+	}
+	return r.buf
 }
 
 // SetHook installs the observer of puts landing in this segment. Call
@@ -82,16 +97,25 @@ func (s *Segment) SetHook(h DeliveryHook) { s.hook = h }
 // Size returns the number of ranks the segment spans.
 func (s *Segment) Size() int { return len(s.ranks) }
 
+// SetOriginGuard turns the origin-reuse guard on or off. While it is
+// on, each put fingerprints its payload at issue, and its landing
+// panics with ErrOriginModified if the origin buffer changed in
+// between; a put across node groups is checked again at the barrier
+// closing its landing's window (see Put.Land). Race builds keep it on
+// whatever the setting (OriginGuardForced). Call before the world
+// runs.
+func (s *Segment) SetOriginGuard(on bool) { s.guard = on || OriginGuardForced }
+
 // Local returns rank's exposed memory for direct local access.
-func (s *Segment) Local(rank int) []byte { return s.ranks[rank].buf }
+func (s *Segment) Local(rank int) []byte { return s.ranks[rank].mem() }
 
 // Uint64At reads the little-endian uint64 at off in rank's buffer.
 func (s *Segment) Uint64At(rank, off int) uint64 {
-	return binary.LittleEndian.Uint64(s.ranks[rank].buf[off : off+8])
+	return binary.LittleEndian.Uint64(s.ranks[rank].mem()[off : off+8])
 }
 
 func (s *Segment) setUint64At(rank, off int, v uint64) {
-	binary.LittleEndian.PutUint64(s.ranks[rank].buf[off:off+8], v)
+	binary.LittleEndian.PutUint64(s.ranks[rank].mem()[off:off+8], v)
 }
 
 // OpStats returns how many puts and atomics rank has issued.
@@ -108,7 +132,7 @@ func (s *Segment) check(rank, off, n int) {
 	if rank < 0 || rank >= len(s.ranks) {
 		panic(fmt.Sprintf("runtime: segment access to invalid rank %d", rank))
 	}
-	if size := len(s.ranks[rank].buf); off < 0 || off+n > size {
+	if size := s.ranks[rank].size; off < 0 || off+n > size {
 		panic(fmt.Sprintf("runtime: segment access [%d, %d) outside rank %d's %d-byte region",
 			off, off+n, rank, size))
 	}
@@ -146,58 +170,97 @@ func (p Put) Bytes() int64 {
 	return int64(len(p.data))
 }
 
-// Land counts the put, stages its payload (the caller may reuse data
-// afterwards) and returns the delivery callback for the target's
-// engine: write the payload, then the signal word, report to the hook
-// with the given issue time, and wake the target's waiters.
+// Land counts the put and returns the delivery callback for the
+// target's engine: copy the payload straight from the origin's data
+// into the target's buffer (the put's only copy), then write the
+// signal word, report to the hook with the given issue time, and wake
+// the target's waiters.
+//
+// The landing reads data when it runs, so the origin must leave data
+// unchanged until the put completes remotely (flush, quiet, fence or
+// drain returns, or the target observes the put's signal) — the
+// origin-buffer rule of MPI-3 RMA and put_nbi. A local flush does not
+// release the buffer early. One rule is stricter than MPI: when origin
+// and target sit in different node groups, the landing and the
+// origin's completion run at the same simulated instant on different
+// engines of one window, so nothing orders the landing's read before
+// a write the origin makes right after its flush returns. Such a put's
+// buffer may be rewritten only once the origin has heard from the
+// target after the landing (say, a message the target sends once it
+// has seen the put): a cross-group flight takes at least a lookahead,
+// so it arrives in a later window. SetOriginGuard checks both rules.
 func (p Put) Land(issue sim.Time) func(at sim.Time) {
+	p.seg.ranks[p.origin].puts++
+	l, _ := landings.Get().(*landing)
+	if l == nil {
+		l = new(landing)
+		l.fn = l.land
+	}
+	l.put, l.issue = p, issue
+	if p.seg.guard {
+		l.sum = fingerprint(p.data)
+	}
+	return l.fn
+}
+
+// landing is one issued put waiting for its delivery. Records are
+// recycled through a pool, their callback bound once, so issuing and
+// landing a put allocates nothing; the pool is concurrency-safe
+// because a landing runs on the target's engine, which may be another
+// goroutine than the origin's.
+type landing struct {
+	put   Put
+	issue sim.Time
+	sum   uint64 // the payload's fingerprint at issue (guard only)
+	fn    func(at sim.Time)
+}
+
+var landings sync.Pool
+
+// ErrOriginModified is what the origin-reuse guard panics with when a
+// put's origin buffer changed while the put was in flight.
+var ErrOriginModified = errors.New("runtime: put origin buffer modified while the put was in flight")
+
+func (l *landing) land(at sim.Time) {
+	p, issue := l.put, l.issue
 	s := p.seg
-	s.ranks[p.origin].puts++
-	buf := stage(p.data)
+	if s.guard {
+		p.checkOrigin(l.sum, "")
+		if w := s.world; w.GroupOf(p.origin) != w.GroupOf(p.target) {
+			// Recheck at the window barrier: a rewrite in this window
+			// raced the read above.
+			sum := l.sum
+			w.eng.Defer(p.target, at, func() { p.checkOrigin(sum, " (in its completion's window)") })
+		}
+	}
+	l.put = Put{} // drop the origin buffer before recycling
+	landings.Put(l)
 	dst := &s.ranks[p.target]
-	origin, target, off, sigOff, sigVal, bytes := p.origin, p.target, p.off, p.sigOff, p.sigVal, p.Bytes()
-	return func(at sim.Time) {
-		if buf != nil {
-			copy(dst.buf[off:], *buf)
-			if cap(*buf) <= maxPooledStage {
-				stagePool.Put(buf)
-			}
-		}
-		if sigOff != NoSignal {
-			binary.LittleEndian.PutUint64(dst.buf[sigOff:], sigVal)
-		}
-		if s.hook != nil {
-			s.hook(origin, target, bytes, issue, at)
-		}
-		dst.landed.Broadcast()
+	buf := dst.mem()
+	copy(buf[p.off:], p.data)
+	if p.sigOff != NoSignal {
+		binary.LittleEndian.PutUint64(buf[p.sigOff:], p.sigVal)
+	}
+	if s.hook != nil {
+		s.hook(p.origin, p.target, p.Bytes(), issue, at)
+	}
+	dst.landed.Broadcast()
+}
+
+// checkOrigin panics with ErrOriginModified unless the origin buffer
+// still has the fingerprint sum it had at issue.
+func (p Put) checkOrigin(sum uint64, when string) {
+	if fingerprint(p.data) != sum {
+		panic(fmt.Errorf("%w%s: origin %d, target %d, offset %d, %d bytes",
+			ErrOriginModified, when, p.origin, p.target, p.off, len(p.data)))
 	}
 }
 
-// stagePool recycles put staging buffers, slice headers included, so a
-// steady-state stage/land cycle allocates nothing. Staging is needed
-// because the origin may reuse its buffer before the landing runs; a
-// staged buffer is fully consumed by its landing and never read again.
-// The pool is concurrency-safe: landings run on the target group's
-// engine, which may be another goroutine than the origin's.
-var stagePool sync.Pool
+// fingerprint hashes data with the runtime's memory hash, which race
+// builds do not instrument byte by byte.
+func fingerprint(data []byte) uint64 { return maphash.Bytes(fingerprintSeed, data) }
 
-// maxPooledStage bounds the buffers the pool keeps: pooled buffers
-// outlive their world by up to two GC cycles, which for bandwidth-sized
-// payloads is a sweep's whole in-flight volume (1024 x 1 MiB is a GiB).
-const maxPooledStage = 64 << 10
-
-// stage copies data into a pooled buffer (nil for an empty payload).
-func stage(data []byte) *[]byte {
-	if len(data) == 0 {
-		return nil
-	}
-	bp, _ := stagePool.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
-	}
-	*bp = append((*bp)[:0], data...)
-	return bp
-}
+var fingerprintSeed = maphash.MakeSeed()
 
 // Track counts the put in flight from its origin; see Segment.Track.
 func (p Put) Track() func(at sim.Time) { return p.seg.Track(p.origin, p.target) }

@@ -2,6 +2,10 @@ package runtime
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	goruntime "runtime"
+	"strings"
 	"testing"
 
 	"msgroofline/internal/machine"
@@ -133,5 +137,185 @@ func TestSegmentBoundsPanic(t *testing.T) {
 			}()
 			put()
 		}()
+	}
+}
+
+// TestSegmentBoundsUseRecordedSize: an out-of-range put to an
+// untouched rank panics with the bounds message before the rank's
+// buffer exists, a zero-size rank rejects any payload, and Local on an
+// untouched rank is a zeroed buffer of full length.
+func TestSegmentBoundsUseRecordedSize(t *testing.T) {
+	w := newWorld(t, "perlmutter-cpu", 3)
+	s, err := NewSegment(w, []int{16, 8, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		target, off, n int
+		want           string
+	}{
+		{1, 4, 8, "runtime: segment access [4, 12) outside rank 1's 8-byte region"},
+		{2, 0, 1, "runtime: segment access [0, 1) outside rank 2's 0-byte region"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != c.want {
+					t.Errorf("put to rank %d panicked with %v, want %q", c.target, r, c.want)
+				}
+			}()
+			s.NewPut(0, c.target, c.off, make([]byte, c.n), NoSignal, 0)
+		}()
+		if s.ranks[c.target].buf != nil {
+			t.Errorf("rejected put allocated rank %d's buffer", c.target)
+		}
+	}
+	if s.ranks[2].buf != nil {
+		t.Fatal("untouched rank allocated at construction")
+	}
+	for r, size := range []int{16, 8, 0} {
+		if got := s.Local(r); len(got) != size || !bytes.Equal(got, make([]byte, size)) {
+			t.Errorf("Local(%d) = %v, want %d zero bytes", r, got, size)
+		}
+	}
+}
+
+// TestSegmentPutAllocatesNothing: issuing and landing a 1 MiB put
+// moves the payload once, origin to target, with no staging buffer.
+func TestSegmentPutAllocatesNothing(t *testing.T) {
+	if OriginGuardForced {
+		t.Skip("race builds randomize sync.Pool reuse")
+	}
+	w := newWorld(t, "perlmutter-cpu", 2)
+	s := newSegment(t, w, 1<<20)
+	payload := bytes.Repeat([]byte{7}, 1<<20)
+	put := s.NewPut(0, 1, 0, payload, NoSignal, 0)
+	if n := testing.AllocsPerRun(20, func() { put.Land(0)(1) }); n != 0 {
+		t.Fatalf("1 MiB put allocated %v times per issue and landing, want 0", n)
+	}
+	if !bytes.Equal(s.Local(1), payload) {
+		t.Fatal("payload not landed")
+	}
+}
+
+// TestSegmentMemoryOnFirstTouch: a segment's memory is allocated per
+// rank on first touch, so exposing 16 MiB on 16 ranks and writing one
+// costs one rank's buffer.
+func TestSegmentMemoryOnFirstTouch(t *testing.T) {
+	const ranks, size = 16, 16 << 20
+	w := newWorld(t, "perlmutter-cpu", ranks)
+	sizes := make([]int, ranks)
+	for i := range sizes {
+		sizes[i] = size
+	}
+	payload := []byte("first touch")
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	s, err := NewSegment(w, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.NewPut(0, 5, size-len(payload), payload, NoSignal, 0).Land(0)(1)
+	goruntime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 17<<20 {
+		t.Fatalf("segment plus one put allocated %d MiB, want under 17", got>>20)
+	}
+	for r := range s.ranks {
+		if touched := s.ranks[r].buf != nil; touched != (r == 5) {
+			t.Errorf("rank %d allocated = %v after one put to rank 5", r, touched)
+		}
+	}
+	if got := s.Local(5)[size-len(payload):]; !bytes.Equal(got, payload) {
+		t.Fatalf("landed %q, want %q", got, payload)
+	}
+}
+
+// TestOriginGuard: a payload rewritten between issue and landing
+// panics with ErrOriginModified naming the put while the guard is on;
+// with it off, the landing copies whatever the buffer holds.
+func TestOriginGuard(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		t.Run(fmt.Sprintf("guard=%v", on), func(t *testing.T) {
+			if !on && OriginGuardForced {
+				t.Skip("race builds keep the guard on")
+			}
+			w := newWorld(t, "perlmutter-cpu", 2)
+			s := newSegment(t, w, 32)
+			s.SetOriginGuard(on)
+			payload := []byte("origin")
+			land := s.NewPut(0, 1, 8, payload, NoSignal, 0).Land(0)
+			payload[0] = 'O'
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				land(1)
+			}()
+			if !on {
+				if got != nil || !bytes.Equal(s.Local(1)[8:14], payload) {
+					t.Fatalf("unguarded landing: panic %v, landed %q", got, s.Local(1)[8:14])
+				}
+				return
+			}
+			err, _ := got.(error)
+			if !errors.Is(err, ErrOriginModified) ||
+				!strings.Contains(err.Error(), "origin 0, target 1, offset 8, 6 bytes") {
+				t.Fatalf("guarded landing panicked with %v", got)
+			}
+		})
+	}
+}
+
+// TestOriginGuardAcrossGroups: a put between node groups whose origin
+// rewrites its buffer as soon as the flush returns races the landing
+// in the same window, and the guard fails it at the window barrier
+// (the inline window runs the target's group first, so the landing
+// itself read the original); rewriting once a window barrier has
+// passed is safe and lands the original bytes.
+func TestOriginGuardAcrossGroups(t *testing.T) {
+	cfg, err := machine.Get("perlmutter-cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wait := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wait=%v", wait), func(t *testing.T) {
+			w, err := NewWorldSharded(cfg, 128, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const origin, target = 127, 0
+			if w.GroupOf(origin) <= w.GroupOf(target) {
+				t.Fatal("origin's node group does not run after the target's")
+			}
+			tp, _ := cfg.Params(machine.OneSided)
+			s := newSegment(t, w, 64)
+			s.SetOriginGuard(true)
+			payload := []byte("original")
+			w.Spawn(origin, "origin", func(p *sim.Proc) {
+				put := s.NewPut(origin, target, 0, payload, NoSignal, 0)
+				w.Endpoint(origin).Inject(tp, target, put.Bytes(), 0, put.Land(p.Now()), put.Track())
+				s.WaitFlushed(p, origin, target)
+				if wait {
+					p.Sleep(w.Lookahead())
+				}
+				copy(payload, "REWRITE!")
+			})
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				err = w.Run()
+			}()
+			if wait {
+				if got != nil || err != nil {
+					t.Fatalf("rewrite after a window barrier failed: %v %v", got, err)
+				}
+				if !bytes.Equal(s.Local(target)[:8], []byte("original")) {
+					t.Fatalf("landed %q", s.Local(target)[:8])
+				}
+				return
+			}
+			if e, _ := got.(error); !errors.Is(e, ErrOriginModified) ||
+				!strings.Contains(e.Error(), "in its completion's window") {
+				t.Fatalf("rewrite in the completion's window: panic %v, err %v", got, err)
+			}
+		})
 	}
 }

@@ -80,6 +80,12 @@ func (s *Stats) String() string {
 // never exceeds n. On the first failure no further jobs are started;
 // the aggregated error joins every job error in index order.
 func Run(workers, n int, fn func(i int) error) (*Stats, error) {
+	return run(workers, n, fn, nil)
+}
+
+// run is Run with an observer called once, on the failing job's
+// worker, as soon as the first failure has stopped the intake.
+func run(workers, n int, fn func(i int) error, stopped func()) (*Stats, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("sched: negative job count %d", n)
 	}
@@ -117,7 +123,9 @@ func Run(workers, n int, fn func(i int) error) (*Stats, error) {
 				t0 := time.Now()
 				if err := runJob(i, fn); err != nil {
 					errs[i] = err
-					failed.Store(true)
+					if !failed.Swap(true) && stopped != nil {
+						stopped()
+					}
 				}
 				stats.JobWall[i] = time.Since(t0)
 			}

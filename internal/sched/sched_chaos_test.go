@@ -61,18 +61,24 @@ func TestMapDeterministicWithPerturbedEngines(t *testing.T) {
 // cancellation while workers are busy inside simulations: once a job
 // fails, the scheduler must stop admitting new jobs and report the
 // failure (plus any later-index failures already running) in index
-// order.
+// order. Jobs after the failing one hold their worker until the
+// failure has stopped the intake, so a worker that races ahead while
+// the failing one is descheduled cannot start the whole queue.
 func TestCancelStopsIntakeWithPerturbedEngines(t *testing.T) {
-	const n = 64
+	const n, workers = 64, 2
 	var started [n]bool
-	stats, err := Run(2, n, func(i int) error {
+	stopped := make(chan struct{})
+	stats, err := run(workers, n, func(i int) error {
 		started[i] = true
 		perturbedElapsed(uint64(i))
 		if i == 3 {
 			return fmt.Errorf("job %d: injected failure", i)
 		}
+		if i > 3 {
+			<-stopped
+		}
 		return nil
-	})
+	}, func() { close(stopped) })
 	if err == nil {
 		t.Fatal("injected failure not reported")
 	}
@@ -81,6 +87,10 @@ func TestCancelStopsIntakeWithPerturbedEngines(t *testing.T) {
 	}
 	if stats.Started >= n {
 		t.Fatalf("intake never stopped: started all %d jobs after early failure", stats.Started)
+	}
+	if stats.Started > 4+workers-1 {
+		t.Fatalf("started %d jobs; at most the failing job's %d running siblings may follow job 3",
+			stats.Started, workers-1)
 	}
 	count := 0
 	for _, s := range started {

@@ -4,7 +4,7 @@
 // signal waiting (wait_until_all / wait_until_any), remote atomics
 // (compare-and-swap, fetch-and-add), quiet, and a dissemination
 // barrier. Ring collectives live in the separate internal/ccl layer.
-// The heaps are one runtime.Segment, which owns bounds checks, staging,
+// The heaps are one runtime.Segment, which owns bounds checks, the
 // landing, completion counts, atomics and signal waits; this package
 // decides only what a put charges and how it reaches the wire.
 //
@@ -65,6 +65,12 @@ func (j *Job) SetDebugUnordered(v bool) {
 		}
 	}
 }
+
+// SetDebugOriginGuard turns on the heap's origin-reuse guard: a put
+// whose origin buffer changes before it lands panics with
+// runtime.ErrOriginModified, so conformance can prove the put contract
+// is checked (see runtime.Segment.SetOriginGuard). Call before Launch.
+func (j *Job) SetDebugOriginGuard(v bool) { j.heap.SetOriginGuard(v) }
 
 // transportNoun names each transport a Job can run on, as its
 // missing-transport error words it.
@@ -274,7 +280,10 @@ func (c *Ctx) ForkJoin(n int, body func(blk *Ctx, i int)) {
 const autoChannel = -1
 
 // PutNBI starts a nonblocking put of data into dst's heap at dstOff
-// (nvshmem_putmem_nbi). Completion is observed via Quiet.
+// (nvshmem_putmem_nbi). Completion is observed via Quiet. The put
+// lands straight from data, so data must stay unchanged until Quiet
+// (or Barrier) returns, as put_nbi requires; across node groups the
+// rule is stricter (see runtime.Put.Land).
 func (c *Ctx) PutNBI(dst, dstOff int, data []byte) {
 	c.putNBIOn(dst, dstOff, data, runtime.NoSignal, 0, autoChannel, 1)
 }
@@ -282,6 +291,8 @@ func (c *Ctx) PutNBI(dst, dstOff int, data []byte) {
 // PutSignalNBI is the fused put-with-signal
 // (nvshmem_double_put_signal_nbi): data lands at dstOff, then the
 // uint64 signal at sigOff is set to sigVal, ordered after the data.
+// data must stay unchanged until Quiet returns or the target observes
+// the signal.
 func (c *Ctx) PutSignalNBI(dst, dstOff int, data []byte, sigOff int, sigVal uint64) {
 	c.putNBIOn(dst, dstOff, data, sigOff, sigVal, autoChannel, 2)
 }
