@@ -1,3 +1,8 @@
+// Package gpu models the device side of GPU-initiated communication:
+// the stream trigger engine that fires pre-enqueued descriptors once
+// their stream dependency completes (stream-triggered MPI). The
+// workload kernels (stencil, sptrsv, hashtable) compute their own GPU
+// compute time from machine.GPUConfig.
 package gpu
 
 import "msgroofline/internal/sim"

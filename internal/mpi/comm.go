@@ -149,8 +149,6 @@ type Rank struct {
 
 	barrierSeq int
 	collSeq    int
-	sendCount  int64
-	recvCount  int64
 }
 
 // peer is the non-overtaking resequencer state toward one peer. MPI
@@ -200,11 +198,6 @@ func (r *Rank) Now() sim.Time { return r.proc.Now() }
 
 // Compute blocks the rank for d of local computation.
 func (r *Rank) Compute(d sim.Time) { r.proc.Sleep(d) }
-
-// Counts reports how many messages this rank has sent and received.
-func (r *Rank) Counts() (sent, received int64) {
-	return r.sendCount, r.recvCount
-}
 
 // PendingUnexpected returns the number of delivered-but-unmatched
 // messages queued at this rank (conformance oracles check it drains).

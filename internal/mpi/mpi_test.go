@@ -297,27 +297,3 @@ func TestTwoSidedLatencyCalibration(t *testing.T) {
 		t.Fatalf("two-sided 1-msg = %.2fus, want ~3.3us", us)
 	}
 }
-
-func TestMessageCounts(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 2)
-	var sent, recvd int64
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() == 0 {
-			for i := 0; i < 5; i++ {
-				r.Send(1, 0, []byte{0})
-			}
-			sent, _ = r.Counts()
-		} else {
-			for i := 0; i < 5; i++ {
-				r.Recv(0, 0)
-			}
-			_, recvd = r.Counts()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sent != 5 || recvd != 5 {
-		t.Fatalf("counts = %d sent, %d received", sent, recvd)
-	}
-}

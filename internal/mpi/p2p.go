@@ -38,7 +38,6 @@ func (r *Rank) Isend(dst, tag int, data []byte) *Request {
 	pr := r.peer(dst)
 	seq := pr.sendSeq
 	pr.sendSeq++
-	r.sendCount++
 	issue := r.proc.Now()
 	hook := r.comm.sendHook
 	// Delivery mutates only target-rank state, so the whole callback
@@ -152,13 +151,11 @@ func (r *Rank) admit(env *envelope) {
 		if req.matches(env) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
 			req.complete(env)
-			r.recvCount++
 			r.arrived.Broadcast()
 			return
 		}
 	}
 	r.unexpected = append(r.unexpected, env)
-	r.recvCount++
 	r.arrived.Broadcast()
 }
 

@@ -73,7 +73,6 @@ func (r *Rank) Put(w *Win, dst, dstOff int, data []byte) {
 	ch := r.ep.AutoChannel()
 	put := w.seg.NewPut(r.id, dst, dstOff, data, runtime.NoSignal, 0)
 	r.ep.ChargeOp(r.proc, r.comm.one)
-	r.sendCount++
 	r.ep.Inject(r.comm.one, dst, put.Bytes(), ch, put.Land(r.proc.Now()), put.Track())
 }
 
@@ -93,7 +92,6 @@ func (r *Rank) PutNotify(w *Win, dst, dstOff int, data []byte, sigOff int, sigVa
 	tp := r.comm.ntf
 	r.ep.ChargeOp(r.proc, tp)
 	r.ep.ChargeOp(r.proc, tp)
-	r.sendCount++
 	r.ep.Inject(tp, dst, put.Bytes(), r.ep.AutoChannel(), put.Land(r.proc.Now()), put.Track())
 	return nil
 }

@@ -241,8 +241,6 @@ type Endpoint struct {
 	rank     int
 	chanFree []sim.Time // per-channel earliest next injection
 	rr       int        // round-robin cursor for AutoChannel
-	injected int64      // messages injected (stats)
-	bytesOut int64
 	// atomicFree serializes remote atomics targeting this endpoint's
 	// memory (one at a time at the memory controller). It is mutated
 	// only from this endpoint's own engine (owner-computes).
@@ -333,11 +331,6 @@ func (ep *Endpoint) eng() *sim.Engine { return ep.world.eng.EngineOf(ep.rank) }
 // Channels returns the number of NIC injection channels.
 func (ep *Endpoint) Channels() int { return len(ep.chanFree) }
 
-// Stats returns cumulative injection counters.
-func (ep *Endpoint) Stats() (messages, bytes int64) {
-	return ep.injected, ep.bytesOut
-}
-
 // AutoChannel returns the next channel in round-robin order; message
 // streams that do not care about placement use it to spread load over
 // parallel links.
@@ -387,8 +380,6 @@ func (ep *Endpoint) Inject(tp machine.TransportParams, dst int, bytes int64, ch 
 		start = ep.chanFree[c]
 	}
 	ep.chanFree[c] = start + tp.Gap
-	ep.injected++
-	ep.bytesOut += bytes
 
 	w := ep.world
 	if w.eng.GroupOf(ep.rank) == w.eng.GroupOf(dst) {

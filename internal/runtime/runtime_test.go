@@ -85,10 +85,6 @@ func TestInjectGapPacing(t *testing.T) {
 	if d01 < tp.Gap {
 		t.Fatalf("spacing %v below gap %v", d01, tp.Gap)
 	}
-	msgs, bytes := w.Endpoint(0).Stats()
-	if msgs != 3 || bytes != 24 {
-		t.Fatalf("stats = %d msgs, %d bytes", msgs, bytes)
-	}
 }
 
 func TestSameNodeUsesMemoryPath(t *testing.T) {

@@ -331,7 +331,7 @@ func (ce *CoupledEngine) At(rank int, t Time, fn func()) {
 	if t < sub.Now() {
 		t = sub.Now()
 	}
-	ev := sub.At(t, fn)
+	at := sub.At(t, fn)
 	if ce.inBarrier {
 		// Barrier delivery may re-awaken an idle group (or move an
 		// active group's horizon earlier): publish incrementally so
@@ -340,7 +340,7 @@ func (ce *CoupledEngine) At(rank int, t Time, fn func()) {
 		// moved it. Window-time At calls target the caller's group,
 		// which re-publishes wholesale after the window, so only the
 		// barrier needs this.
-		if at := ev.At(); at < ce.tree.get(int(g)) {
+		if at < ce.tree.get(int(g)) {
 			ce.tree.update(int(g), at)
 		}
 	}

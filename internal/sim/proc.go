@@ -6,16 +6,12 @@ package sim
 // the engine loop) executes at any wall-clock instant, so simulated
 // code needs no locking and every run is deterministic.
 type Proc struct {
-	eng     *Engine
-	name    string
-	resume  chan struct{}
-	done    bool
-	preWake func() // set during WaitTimeout to discriminate signal vs timeout
-
-	waitIdx int // absolute position in the Cond's waiter queue while parked
+	eng    *Engine
+	name   string
+	resume chan struct{}
+	done   bool
 
 	// intrusive membership in the engine's cond-parked list
-	isParked               bool
 	parkedNext, parkedPrev *Proc
 }
 
@@ -98,68 +94,39 @@ func (p *Proc) Sleep(d Time) {
 // All operations must happen inside the engine's context.
 //
 // The waiter queue is FIFO (Signal wakes the longest-waiting process —
-// this ordering is a determinism invariant) with O(1) amortized
-// removal: timed-out waiters are nil-ed in place via their recorded
-// queue position rather than spliced out, and the front is compacted
-// as it drains. A swap-remove would be O(1) too but would reorder
-// waiters and change simulated wake order.
+// this ordering is a determinism invariant); the drained front is
+// compacted as it goes, so the queue stays O(live) amortized.
 type Cond struct {
 	eng     *Engine
 	waiters []*Proc
-	head    int // index of the first live entry in waiters
-	off     int // absolute position of waiters[0] (grows with compaction)
-	n       int // live (non-removed) waiters
+	head    int // index of the first waiter in waiters
 }
 
 // NewCond returns a condition variable bound to e.
 func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
-// push appends p to the waiter queue, recording its absolute position
-// for O(1) removal.
-func (c *Cond) push(p *Proc) {
-	p.waitIdx = c.off + len(c.waiters)
-	c.waiters = append(c.waiters, p)
-	c.n++
-}
-
-// popFront returns the longest-waiting live waiter, or nil.
+// popFront returns the longest-waiting waiter, or nil.
 func (c *Cond) popFront() *Proc {
-	for c.head < len(c.waiters) {
-		p := c.waiters[c.head]
-		c.waiters[c.head] = nil
-		c.head++
-		if p != nil {
-			c.compact()
-			c.n--
-			return p
-		}
+	if c.head == len(c.waiters) {
+		return nil
 	}
+	p := c.waiters[c.head]
+	c.waiters[c.head] = nil
+	c.head++
 	c.compact()
-	return nil
+	return p
 }
 
 // compact reclaims the drained front so the queue stays O(live)
 // amortized even when it never fully empties.
 func (c *Cond) compact() {
 	if c.head == len(c.waiters) {
-		c.off += c.head
 		c.head = 0
 		c.waiters = c.waiters[:0]
 	} else if c.head > 32 && c.head*2 >= len(c.waiters) {
 		kept := copy(c.waiters, c.waiters[c.head:])
-		c.off += c.head
 		c.head = 0
 		c.waiters = c.waiters[:kept]
-	}
-}
-
-// remove drops p from the waiter queue in O(1) via its recorded
-// position (used by the WaitTimeout timeout path).
-func (c *Cond) remove(p *Proc) {
-	i := p.waitIdx - c.off
-	if i >= c.head && i < len(c.waiters) && c.waiters[i] == p {
-		c.waiters[i] = nil
-		c.n--
 	}
 }
 
@@ -169,39 +136,9 @@ func (c *Cond) Wait(p *Proc) {
 	if p.eng != c.eng {
 		panic("sim: Cond.Wait with process from a different engine")
 	}
-	c.push(p)
+	c.waiters = append(c.waiters, p)
 	c.eng.addParked(p)
 	p.park()
-}
-
-// WaitTimeout parks p until the condition is signaled or d elapses,
-// whichever comes first. It reports true if the wakeup came from a
-// signal and false on timeout.
-func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
-	signaled := false
-	fired := false
-	c.push(p)
-	c.eng.addParked(p)
-	var timer Event
-	timer = c.eng.Schedule(d, func() {
-		if fired {
-			return
-		}
-		fired = true
-		c.remove(p)
-		c.eng.removeParked(p)
-		c.eng.dispatch(p)
-	})
-	p.preWake = func() {
-		if !fired {
-			fired = true
-			signaled = true
-			timer.Cancel()
-		}
-	}
-	p.park()
-	p.preWake = nil
-	return signaled
 }
 
 // Signal wakes the longest-waiting process, if any. The wakeup is a
@@ -237,4 +174,4 @@ func (c *Cond) WaitFor(p *Proc, pred func() bool) {
 }
 
 // NumWaiters reports how many processes are currently parked on c.
-func (c *Cond) NumWaiters() int { return c.n }
+func (c *Cond) NumWaiters() int { return len(c.waiters) - c.head }

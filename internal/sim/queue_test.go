@@ -3,8 +3,8 @@ package sim
 // Tests for the engine's event-queue internals: a property test that
 // replays randomized schedules on both the production queue (4-ary
 // heap + now-queue ring + pooled nodes) and a reference
-// container/heap implementation of the documented semantics, and
-// pool-recycling tests for the generation-counter Cancel guarantees.
+// container/heap implementation of the documented semantics, and a
+// pool-recycling test.
 
 import (
 	"container/heap"
@@ -14,10 +14,9 @@ import (
 // --- reference implementation (the documented (at, seq) FIFO order) ---
 
 type refEvent struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	canceled bool
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 type refHeap []*refEvent
@@ -39,22 +38,14 @@ type refEngine struct {
 	seq uint64
 }
 
-func (r *refEngine) schedule(d Time, fn func()) func() {
-	if d < 0 {
-		d = 0
-	}
-	ev := &refEvent{at: r.now + d, seq: r.seq, fn: fn}
+func (r *refEngine) schedule(d Time, fn func()) {
+	heap.Push(&r.h, &refEvent{at: r.now + d, seq: r.seq, fn: fn})
 	r.seq++
-	heap.Push(&r.h, ev)
-	return func() { ev.canceled = true }
 }
 
 func (r *refEngine) run() {
 	for r.h.Len() > 0 {
 		ev := heap.Pop(&r.h).(*refEvent)
-		if ev.canceled {
-			continue
-		}
 		if ev.at > r.now {
 			r.now = ev.at
 		}
@@ -67,25 +58,22 @@ func (r *refEngine) run() {
 // scheduler abstracts the production engine and the reference so one
 // script drives both.
 type scheduler interface {
-	schedule(d Time, fn func()) (cancel func())
+	schedule(d Time, fn func())
 	run()
 	currentTime() Time
 }
 
 type simSched struct{ e *Engine }
 
-func (s simSched) schedule(d Time, fn func()) func() {
-	ev := s.e.Schedule(d, fn)
-	return ev.Cancel
-}
-func (s simSched) run()              { _ = s.e.Run() }
-func (s simSched) currentTime() Time { return s.e.Now() }
+func (s simSched) schedule(d Time, fn func()) { s.e.At(s.e.Now()+d, fn) }
+func (s simSched) run()                       { _ = s.e.Run() }
+func (s simSched) currentTime() Time          { return s.e.Now() }
 
 type refSched struct{ r *refEngine }
 
-func (s refSched) schedule(d Time, fn func()) func() { return s.r.schedule(d, fn) }
-func (s refSched) run()                              { s.r.run() }
-func (s refSched) currentTime() Time                 { return s.r.now }
+func (s refSched) schedule(d Time, fn func()) { s.r.schedule(d, fn) }
+func (s refSched) run()                       { s.r.run() }
+func (s refSched) currentTime() Time          { return s.r.now }
 
 // mix is a deterministic per-(seed,id,salt) hash so both replicas draw
 // identical "random" choices regardless of internal state.
@@ -99,12 +87,10 @@ func mix(seed, id, salt int64) int64 {
 
 // playScript schedules `roots` root events with pseudorandom delays;
 // each fired event may spawn children (recursively, bounded depth,
-// many at delay zero to stress the now-queue) and may cancel a
-// pseudorandomly chosen earlier event. Returns the firing order of
-// event ids and the final clock.
+// many at delay zero to stress the now-queue). Returns the firing
+// order of event ids and the final clock.
 func playScript(s scheduler, seed int64, roots int) ([]int, Time) {
 	var order []int
-	cancels := make(map[int]func())
 	nextID := 0
 	var spawn func(id, depth int)
 	spawn = func(id, depth int) {
@@ -114,7 +100,7 @@ func playScript(s scheduler, seed int64, roots int) ([]int, Time) {
 		if mix(seed, int64(id), 1)%2 == 0 {
 			delay = Time(mix(seed, int64(id), 2) % 40)
 		}
-		cancels[id] = s.schedule(delay, func() {
+		s.schedule(delay, func() {
 			order = append(order, id)
 			if depth < 4 {
 				n := int(mix(seed, int64(id), 3) % 3)
@@ -122,12 +108,6 @@ func playScript(s scheduler, seed int64, roots int) ([]int, Time) {
 					cid := nextID
 					nextID++
 					spawn(cid, depth+1)
-				}
-			}
-			if mix(seed, int64(id), 4)%4 == 0 && nextID > 0 {
-				target := int(mix(seed, int64(id), 5) % int64(nextID))
-				if c := cancels[target]; c != nil {
-					c() // may hit pending, fired, or already-canceled events
 				}
 			}
 		})
@@ -161,76 +141,6 @@ func TestQueueMatchesReferenceHeap(t *testing.T) {
 }
 
 // --- event-pool recycling ---
-
-// TestEventPoolCancelAfterFire: canceling a handle whose event already
-// fired (and whose slot has been recycled by a new event) must not
-// cancel the new occupant.
-func TestEventPoolCancelAfterFire(t *testing.T) {
-	e := NewEngine()
-	fired1 := false
-	ev := e.Schedule(5, func() { fired1 = true })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired1 {
-		t.Fatal("first event did not fire")
-	}
-	// The pool now holds the recycled slot; this reuses it.
-	fired2 := false
-	ev2 := e.Schedule(5, func() { fired2 = true })
-	if ev2.slot != ev.slot {
-		t.Fatalf("expected slot reuse (got %d, want %d): pool not recycling", ev2.slot, ev.slot)
-	}
-	ev.Cancel() // stale handle: must be a no-op for the new occupant
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired2 {
-		t.Fatal("stale Cancel killed the recycled slot's new event")
-	}
-	if ev2.Canceled() {
-		t.Fatal("new handle reports canceled")
-	}
-}
-
-// TestEventPoolCancelAfterRecycle: canceling a handle that was already
-// canceled, after its slot was recycled, must also be a no-op — and
-// the canceled handle keeps reporting its own state.
-func TestEventPoolCancelAfterRecycle(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(5, func() { t.Error("canceled event fired") })
-	ev.Cancel()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	fired := false
-	ev2 := e.Schedule(7, func() { fired = true })
-	if ev2.slot != ev.slot {
-		t.Fatalf("expected slot reuse (got %d, want %d)", ev2.slot, ev.slot)
-	}
-	ev.Cancel() // second cancel through a stale handle
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("stale double-Cancel killed the recycled slot's new event")
-	}
-	if !ev.Canceled() {
-		t.Fatal("original handle lost its canceled state")
-	}
-	if ev.At() != 5 || ev2.At() != 7 {
-		t.Fatalf("handles lost their times: %v, %v", ev.At(), ev2.At())
-	}
-}
-
-// TestEventZeroValueCancel: the zero Event is inert.
-func TestEventZeroValueCancel(t *testing.T) {
-	var ev Event
-	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("zero Event should report canceled after Cancel")
-	}
-}
 
 // TestPoolSteadyState: a long Sleep/Signal run must keep the node pool
 // at its steady-state size (recycling, not growing).

@@ -72,10 +72,10 @@ func TestTransferTimeMonotonic(t *testing.T) {
 func TestEventOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
-	e.Schedule(10, func() { order = append(order, 11) }) // FIFO at equal time
+	e.At(30, func() { order = append(order, 3) })
+	e.At(10, func() { order = append(order, 1) })
+	e.At(20, func() { order = append(order, 2) })
+	e.At(10, func() { order = append(order, 11) }) // FIFO at equal time
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,22 +90,6 @@ func TestEventOrdering(t *testing.T) {
 	}
 }
 
-func TestEventCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	ev.Cancel()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
-}
-
 func TestEventOrderingRandomized(t *testing.T) {
 	// Property: regardless of scheduling order, events fire in
 	// nondecreasing time order and the clock matches each firing.
@@ -116,7 +100,7 @@ func TestEventOrderingRandomized(t *testing.T) {
 		var fired []Time
 		for i := 0; i < n; i++ {
 			d := Time(rng.Intn(1000))
-			e.Schedule(d, func() {
+			e.At(d, func() {
 				fired = append(fired, e.Now())
 			})
 		}
@@ -236,72 +220,12 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestWaitTimeout(t *testing.T) {
-	e := NewEngine()
-	c := NewCond(e)
-	var timedOut, signaled bool
-	var tAt, sAt Time
-	e.Spawn("timeout", func(p *Proc) {
-		ok := c.WaitTimeout(p, 100*Nanosecond)
-		timedOut = !ok
-		tAt = p.Now()
-	})
-	e.Spawn("signaled", func(p *Proc) {
-		p.Sleep(1) // enter wait after the first proc
-		ok := c.WaitTimeout(p, 10*Microsecond)
-		signaled = ok
-		sAt = p.Now()
-	})
-	e.Spawn("signaler", func(p *Proc) {
-		p.Sleep(200 * Nanosecond)
-		c.Signal() // first waiter (timeout) already gone; wakes second
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !timedOut {
-		t.Error("first waiter should have timed out")
-	}
-	if tAt != 100*Nanosecond {
-		t.Errorf("timeout at %v, want 100ns", tAt)
-	}
-	if !signaled {
-		t.Error("second waiter should have been signaled")
-	}
-	if sAt != 200*Nanosecond {
-		t.Errorf("signal at %v, want 200ns", sAt)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i)*Microsecond, func() { count++ })
-	}
-	if err := e.RunUntil(5 * Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-	if e.Now() != 5*Microsecond {
-		t.Fatalf("Now = %v, want 5us", e.Now())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Fatalf("count = %d, want 10", count)
-	}
-}
-
 func TestEventLimit(t *testing.T) {
 	e := NewEngine()
 	e.SetEventLimit(10)
 	var respawn func()
-	respawn = func() { e.Schedule(1, respawn) }
-	e.Schedule(1, respawn)
+	respawn = func() { e.At(e.Now()+1, respawn) }
+	e.At(1, respawn)
 	if err := e.Run(); err == nil {
 		t.Fatal("expected event-limit error")
 	}
@@ -394,40 +318,43 @@ func TestEngineAtAndExecuted(t *testing.T) {
 	}
 }
 
-func TestScheduleNegativeDelay(t *testing.T) {
+// TestAtReturnsFiringTime: At reports when its event will fire — the
+// clamped request time normally, the jittered time under perturbation
+// (the value CoupledEngine.At publishes to its horizon tree).
+func TestAtReturnsFiringTime(t *testing.T) {
 	e := NewEngine()
-	at := Time(-1)
-	e.Schedule(10, func() {
-		e.Schedule(-5, func() { at = e.Now() })
-	})
+	if got := e.At(5, func() {}); got != 5 {
+		t.Fatalf("At(5) = %v, want 5ps", got)
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if at != 10 {
-		t.Fatalf("negative delay fired at %v, want now (10ps)", at)
+	if got := e.At(2, func() {}); got != 5 {
+		t.Fatalf("At in the past = %v, want the clamped 5ps", got)
 	}
-}
 
-func TestRunUntilSkipsCanceled(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(5, func() { t.Error("canceled event fired") })
-	ev.Cancel()
-	later := false
-	e.Schedule(20, func() { later = true })
-	if err := e.RunUntil(10); err != nil {
-		t.Fatal(err)
+	e = NewEngine()
+	e.SetPerturbation(&Perturbation{Seed: 7, MaxJitter: 100})
+	jittered := 0
+	for i := 0; i < 50; i++ {
+		req := e.Now() + 10
+		var fired Time
+		at := e.At(req, func() { fired = e.Now() })
+		if at < req || at > req+100 {
+			t.Fatalf("At(%v) = %v, outside [req, req+MaxJitter]", req, at)
+		}
+		if at != req {
+			jittered++
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if fired != at {
+			t.Fatalf("event fired at %v, At reported %v", fired, at)
+		}
 	}
-	if later {
-		t.Fatal("event beyond horizon fired")
-	}
-	if ev.At() != 5 {
-		t.Fatalf("At = %v", ev.At())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !later {
-		t.Fatal("remaining event lost")
+	if jittered == 0 {
+		t.Fatal("no event was jittered; the perturbed path went untested")
 	}
 }
 

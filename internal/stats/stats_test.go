@@ -4,97 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-func TestSummary(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if m := Mean(xs); m != 3 {
-		t.Fatalf("Mean = %v", m)
-	}
-	if m := Median(xs); m != 3 {
-		t.Fatalf("Median = %v", m)
-	}
-	if m := Min(xs); m != 1 {
-		t.Fatalf("Min = %v", m)
-	}
-	if m := Max(xs); m != 5 {
-		t.Fatalf("Max = %v", m)
-	}
-	if v := Variance(xs); v != 2 {
-		t.Fatalf("Variance = %v", v)
-	}
-	if s := StdDev(xs); !almost(s, math.Sqrt2, 1e-12) {
-		t.Fatalf("StdDev = %v", s)
-	}
-	if g := GeoMean([]float64{1, 4}); !almost(g, 2, 1e-12) {
-		t.Fatalf("GeoMean = %v", g)
-	}
-}
-
-func TestEmptyInputs(t *testing.T) {
-	for name, v := range map[string]float64{
-		"Mean":    Mean(nil),
-		"Median":  Median(nil),
-		"Min":     Min(nil),
-		"Max":     Max(nil),
-		"GeoMean": GeoMean(nil),
-		"Var":     Variance(nil),
-	} {
-		if !math.IsNaN(v) {
-			t.Errorf("%s(nil) = %v, want NaN", name, v)
-		}
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	if p := Percentile(xs, 0); p != 10 {
-		t.Fatalf("P0 = %v", p)
-	}
-	if p := Percentile(xs, 100); p != 40 {
-		t.Fatalf("P100 = %v", p)
-	}
-	if p := Percentile(xs, 50); p != 25 {
-		t.Fatalf("P50 = %v", p)
-	}
-	if p := Percentile([]float64{7}, 99); p != 7 {
-		t.Fatalf("single-element percentile = %v", p)
-	}
-	if !math.IsNaN(Percentile(xs, -1)) || !math.IsNaN(Percentile(xs, 101)) {
-		t.Fatal("out-of-range p should give NaN")
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
-func TestLinearFitExact(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{5, 7, 9, 11} // y = 3 + 2x
-	a, b := LinearFit(x, y)
-	if !almost(a, 3, 1e-9) || !almost(b, 2, 1e-9) {
-		t.Fatalf("fit = (%v, %v), want (3, 2)", a, b)
-	}
-}
-
-func TestLinearFitDegenerate(t *testing.T) {
-	a, b := LinearFit([]float64{1, 1}, []float64{2, 3})
-	if !math.IsNaN(a) || !math.IsNaN(b) {
-		t.Fatal("expected NaN for zero x-variance")
-	}
-	a, b = LinearFit([]float64{1}, []float64{2})
-	if !math.IsNaN(a) || !math.IsNaN(b) {
-		t.Fatal("expected NaN for single point")
-	}
-}
 
 func TestLeastSquaresRecovers(t *testing.T) {
 	// t = 2*u + 3*v + 5*w exactly.
@@ -180,35 +92,5 @@ func TestNNLSMatchesLSWhenAllPositive(t *testing.T) {
 		if !almost(ls[i], nnls[i], 1e-9) {
 			t.Fatalf("NNLS %v != LS %v", nnls, ls)
 		}
-	}
-}
-
-func TestRSquared(t *testing.T) {
-	y := []float64{1, 2, 3}
-	if r := RSquared(y, y); r != 1 {
-		t.Fatalf("perfect fit R2 = %v", r)
-	}
-	if r := RSquared(y, []float64{2, 2, 2}); r != 0 {
-		t.Fatalf("mean predictor R2 = %v, want 0", r)
-	}
-}
-
-func TestPercentileWithinRangeProperty(t *testing.T) {
-	f := func(raw []float64, pRaw uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		p := float64(pRaw % 101)
-		v := Percentile(xs, p)
-		return v >= Min(xs) && v <= Max(xs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

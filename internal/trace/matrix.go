@@ -4,37 +4,19 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"msgroofline/internal/sim"
 )
 
 // TrafficMatrix aggregates recorded events into per-(src, dst) byte
 // and message counts — the communication heat map of a run, useful
-// for spotting topology hotspots (e.g. Summit's X-Bus pairs).
+// for spotting topology hotspots (e.g. Summit's X-Bus pairs). It is
+// sparse: it holds one entry per pair that communicated, so its size
+// follows the traffic (four neighbours per stencil rank), not the
+// square of the rank count.
 type TrafficMatrix struct {
-	Ranks    int
-	Bytes    [][]int64
-	Messages [][]int64
-}
-
-// Matrix builds the traffic matrix for `ranks` endpoints; events
-// referencing out-of-range ranks are ignored.
-func (r *Recorder) Matrix(ranks int) *TrafficMatrix {
-	m := &TrafficMatrix{Ranks: ranks}
-	m.Bytes = make([][]int64, ranks)
-	m.Messages = make([][]int64, ranks)
-	for i := range m.Bytes {
-		m.Bytes[i] = make([]int64, ranks)
-		m.Messages[i] = make([]int64, ranks)
-	}
-	for _, e := range r.events {
-		if e.Src < 0 || e.Src >= ranks || e.Dst < 0 || e.Dst >= ranks {
-			continue
-		}
-		m.Bytes[e.Src][e.Dst] += e.Bytes
-		m.Messages[e.Src][e.Dst]++
-	}
-	return m
+	Ranks int
+	// Pairs holds one entry per pair that communicated, ordered by
+	// (Src, Dst).
+	Pairs []Pair
 }
 
 // Pair is one (src, dst) traffic entry.
@@ -44,16 +26,37 @@ type Pair struct {
 	Messages int64
 }
 
+// Matrix builds the traffic matrix for `ranks` endpoints; events
+// referencing out-of-range ranks are ignored.
+func (r *Recorder) Matrix(ranks int) *TrafficMatrix {
+	idx := make(map[[2]int]int)
+	var pairs []Pair
+	for _, e := range r.events {
+		if e.Src < 0 || e.Src >= ranks || e.Dst < 0 || e.Dst >= ranks {
+			continue
+		}
+		k := [2]int{e.Src, e.Dst}
+		i, ok := idx[k]
+		if !ok {
+			i = len(pairs)
+			idx[k] = i
+			pairs = append(pairs, Pair{Src: e.Src, Dst: e.Dst})
+		}
+		pairs[i].Bytes += e.Bytes
+		pairs[i].Messages++
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].Src != pairs[j].Src {
+			return pairs[i].Src < pairs[j].Src
+		}
+		return pairs[i].Dst < pairs[j].Dst
+	})
+	return &TrafficMatrix{Ranks: ranks, Pairs: pairs}
+}
+
 // Hottest returns the top-k pairs by byte volume, descending.
 func (m *TrafficMatrix) Hottest(k int) []Pair {
-	var all []Pair
-	for s := 0; s < m.Ranks; s++ {
-		for d := 0; d < m.Ranks; d++ {
-			if m.Messages[s][d] > 0 {
-				all = append(all, Pair{Src: s, Dst: d, Bytes: m.Bytes[s][d], Messages: m.Messages[s][d]})
-			}
-		}
-	}
+	all := append([]Pair(nil), m.Pairs...)
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Bytes != all[j].Bytes {
 			return all[i].Bytes > all[j].Bytes
@@ -73,58 +76,38 @@ func (m *TrafficMatrix) Hottest(k int) []Pair {
 // pairs that communicated at all (1 = perfectly balanced).
 func (m *TrafficMatrix) Imbalance() float64 {
 	var max, sum int64
-	n := 0
-	for s := 0; s < m.Ranks; s++ {
-		for d := 0; d < m.Ranks; d++ {
-			if m.Messages[s][d] == 0 {
-				continue
-			}
-			n++
-			sum += m.Bytes[s][d]
-			if m.Bytes[s][d] > max {
-				max = m.Bytes[s][d]
-			}
+	for _, p := range m.Pairs {
+		sum += p.Bytes
+		if p.Bytes > max {
+			max = p.Bytes
 		}
 	}
-	if n == 0 || sum == 0 {
+	if len(m.Pairs) == 0 || sum == 0 {
 		return 0
 	}
-	mean := float64(sum) / float64(n)
+	mean := float64(sum) / float64(len(m.Pairs))
 	return float64(max) / mean
-}
-
-// CrossFraction returns the fraction of bytes flowing between ranks
-// that the predicate classifies as "crossing" (e.g. different
-// sockets/islands).
-func (m *TrafficMatrix) CrossFraction(crosses func(src, dst int) bool) float64 {
-	var cross, total int64
-	for s := 0; s < m.Ranks; s++ {
-		for d := 0; d < m.Ranks; d++ {
-			total += m.Bytes[s][d]
-			if crosses(s, d) {
-				cross += m.Bytes[s][d]
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(cross) / float64(total)
 }
 
 // String renders a compact heat map (byte volumes, KiB) for small
 // rank counts.
 func (m *TrafficMatrix) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "traffic matrix (%d ranks, KiB):\n", m.Ranks)
 	show := m.Ranks
 	if show > 16 {
 		show = 16
 	}
+	cells := make([]int64, show*show)
+	for _, p := range m.Pairs {
+		if p.Src < show && p.Dst < show {
+			cells[p.Src*show+p.Dst] = p.Bytes
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "traffic matrix (%d ranks, KiB):\n", m.Ranks)
 	for s := 0; s < show; s++ {
 		fmt.Fprintf(&b, "%4d:", s)
 		for d := 0; d < show; d++ {
-			fmt.Fprintf(&b, " %6.1f", float64(m.Bytes[s][d])/1024)
+			fmt.Fprintf(&b, " %6.1f", float64(cells[s*show+d])/1024)
 		}
 		fmt.Fprintln(&b)
 	}
@@ -132,35 +115,4 @@ func (m *TrafficMatrix) String() string {
 		fmt.Fprintf(&b, "  (truncated to %dx%d)\n", show, show)
 	}
 	return b.String()
-}
-
-// BisectionLoad estimates the byte volume crossing a rank-space cut
-// at `cut` (ranks < cut vs >= cut), per direction.
-func (m *TrafficMatrix) BisectionLoad(cut int) (forward, backward int64) {
-	for s := 0; s < m.Ranks; s++ {
-		for d := 0; d < m.Ranks; d++ {
-			if s < cut && d >= cut {
-				forward += m.Bytes[s][d]
-			}
-			if s >= cut && d < cut {
-				backward += m.Bytes[s][d]
-			}
-		}
-	}
-	return forward, backward
-}
-
-// MeanRate converts total recorded bytes into GB/s over the elapsed
-// span.
-func (m *TrafficMatrix) MeanRate(elapsed sim.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	var total int64
-	for s := range m.Bytes {
-		for d := range m.Bytes[s] {
-			total += m.Bytes[s][d]
-		}
-	}
-	return float64(total) / elapsed.Seconds() / 1e9
 }

@@ -29,7 +29,7 @@ func (e Event) Latency() sim.Time { return e.Deliver - e.Issue }
 // Record and Sync are called from delivery hooks, which under the
 // coupled engine's parallel windows may run on concurrent node-group
 // goroutines, so both take a mutex; every derived quantity (Summarize,
-// SizeHistogram, Matrix) is an order-invariant aggregation, so the
+// Matrix) is an order-invariant aggregation, so the
 // nondeterministic append order never reaches an output. Readers run
 // after the simulation joins its workers and need no locking.
 type Recorder struct {
@@ -155,31 +155,6 @@ func (r *Recorder) Summarize(elapsed sim.Time) Summary {
 		s.SustainedGBs = float64(s.TotalBytes) / elapsed.Seconds() / 1e9
 	}
 	return s
-}
-
-// SizeHistogram buckets message sizes by power of two and returns
-// (lower bound, count) pairs in ascending order.
-func (r *Recorder) SizeHistogram() []SizeBucket {
-	counts := map[int64]int{}
-	for _, e := range r.events {
-		b := int64(1)
-		for b*2 <= e.Bytes {
-			b *= 2
-		}
-		counts[b]++
-	}
-	var out []SizeBucket
-	for b, c := range counts {
-		out = append(out, SizeBucket{Floor: b, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Floor < out[j].Floor })
-	return out
-}
-
-// SizeBucket is one power-of-two size class.
-type SizeBucket struct {
-	Floor int64
-	Count int
 }
 
 // String renders the summary compactly.
