@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -413,8 +414,10 @@ func BenchmarkAblationCutThrough(b *testing.B) {
 //	BENCH_RECORD=<label> go test -run TestRecordBench -timeout 60m .
 //
 // to append one record per leg of benchLegs; perf PRs record a
-// "before" and an "after" label on the same host and diff them. A
-// subtest pattern (-run 'TestRecordBench/suite') records a subset.
+// "before" and an "after" label on the same host and diff them. Each
+// leg runs benchSamples times, so a record carries the spread a diff
+// has to clear. A subtest pattern (-run 'TestRecordBench/suite')
+// records a subset.
 
 const (
 	benchSimPath    = "BENCH_sim.json"
@@ -427,6 +430,10 @@ const (
 	// line starting with benchLegPrefix.
 	benchLegArg    = "bench-record-leg"
 	benchLegPrefix = "bench-record: "
+	// benchSamples is how many child processes run each leg; the
+	// record is the median-wall sample's, with the wall quartiles and
+	// the median peak RSS of all of them.
+	benchSamples = 5
 )
 
 type benchFile struct {
@@ -470,19 +477,23 @@ type benchRecord struct {
 	BarrierShare float64 `json:"barrier_share,omitempty"`
 	// AllocsPerOp is a pointer so a measured 0 survives omitempty.
 	AllocsPerOp *int64 `json:"allocs_per_op,omitempty"`
-	// PeakRSSMb is the peak resident set of the process that ran the
-	// leg alone.
+	// PeakRSSMb is the peak resident set of a process that ran the leg
+	// alone (the median over the samples).
 	PeakRSSMb float64 `json:"peak_rss_mb,omitempty"`
+	// Samples counts the child processes the record summarizes;
+	// WallMsQ1 and WallMsQ3 are the quartiles of their wall times.
+	// Records written before sampling carry none of the three.
+	Samples  int     `json:"samples,omitempty"`
+	WallMsQ1 float64 `json:"wall_ms_q1,omitempty"`
+	WallMsQ3 float64 `json:"wall_ms_q3,omitempty"`
 	// Counters holds leg-specific counts (cache hit rate, planner
 	// census).
 	Counters map[string]float64 `json:"counters,omitempty"`
 }
 
-// benchKnobs are the settings a record was measured at. Shards is the
-// -shards worker count of a world; Workers is the same knob named as
-// the engine names it.
+// benchKnobs are the settings a record was measured at. Workers is
+// the window-worker count of a world (the -shards flag).
 type benchKnobs struct {
-	Shards  int    `json:"shards,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 	Jobs    int    `json:"jobs,omitempty"`
 	Cache   string `json:"cache,omitempty"`
@@ -543,7 +554,7 @@ func benchLegs() []benchLeg {
 		suiteLeg("off"), suiteLeg("cold-disk"), suiteLeg("warm-disk"),
 	}
 	for _, s := range []int{1, 2, 4} {
-		legs = append(legs, stencilLeg(fmt.Sprintf("stencil-frontier-shards%d", s), benchKnobs{Shards: s},
+		legs = append(legs, stencilLeg(fmt.Sprintf("stencil-frontier-workers%d", s), benchKnobs{Workers: s},
 			stencil.Config{Transport: comm.OneSided, Grid: 512, Iters: 96, PX: 8, PY: 8, Shards: s}, "frontier-cpu"))
 	}
 	for _, w := range []int{1, 2, 4} {
@@ -573,13 +584,20 @@ func engineLeg(workload string, run func(n int) *sim.Engine) benchLeg {
 
 // suiteLeg regenerates the quick suite under one cache configuration
 // ("off", "cold-disk" or "warm-disk") and records the hit rate and the
-// dedup planner's census.
+// dedup planner's census. Every cold-disk sample starts from an empty
+// cache directory; the last one leaves it full for warm-disk.
 func suiteLeg(cache string) benchLeg {
 	return benchLeg{"suite-" + cache, func(t *testing.T, scratch string) benchRecord {
 		var pc *pointcache.Cache
 		if cache != "off" {
+			dir := filepath.Join(scratch, "pointcache")
+			if cache == "cold-disk" {
+				if err := os.RemoveAll(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var err error
-			if pc, err = pointcache.New(pointcache.Disk, filepath.Join(scratch, "pointcache")); err != nil {
+			if pc, err = pointcache.New(pointcache.Disk, dir); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -655,10 +673,11 @@ func pholdLeg(workers int) benchLeg {
 }
 
 // TestRecordBench appends one record per leg to BENCH_sim.json. Each
-// leg runs in a child process (the test binary re-executed on the
-// leg's subtest) so no leg inherits another's heap, and the child's
-// peak RSS is recorded with it. Simulated output is identical at every
-// knob setting; only the wall-clock numbers move.
+// leg runs in benchSamples child processes (the test binary
+// re-executed on the leg's subtest) so no sample inherits another's
+// heap, and the children's peak RSS is recorded with it. Simulated
+// output is identical at every knob setting; only the wall-clock
+// numbers move.
 func TestRecordBench(t *testing.T) {
 	label := os.Getenv("BENCH_RECORD")
 	if label == "" {
@@ -684,8 +703,8 @@ func TestRecordBench(t *testing.T) {
 	for _, leg := range benchLegs() {
 		t.Run(leg.name, func(t *testing.T) {
 			r := runBenchLeg(t, leg.name, scratch)
-			t.Logf("%.0f ms wall, %d events, %.1f ns/event, %d windows, %d dispatches, busy/wall %.2f, peak RSS %.0f MB",
-				r.WallMs, r.Events, r.NsPerEvent, r.Windows, r.Dispatches, r.BusyWall, r.PeakRSSMb)
+			t.Logf("%.0f ms wall [%.0f, %.0f] over %d samples, %d events, %.1f ns/event, %d windows, %d dispatches, busy/wall %.2f, peak RSS %.0f MB",
+				r.WallMs, r.WallMsQ1, r.WallMsQ3, r.Samples, r.Events, r.NsPerEvent, r.Windows, r.Dispatches, r.BusyWall, r.PeakRSSMb)
 			recs = append(recs, r)
 		})
 	}
@@ -710,9 +729,28 @@ func TestRecordBench(t *testing.T) {
 	t.Logf("appended %d records to %s", len(recs), benchSimPath)
 }
 
-// runBenchLeg re-executes the test binary on one leg and returns the
-// record it printed, with the child's peak RSS filled in.
+// runBenchLeg runs one leg in benchSamples child processes and
+// returns the median-wall sample's record, carrying the wall quartiles
+// and the median peak RSS of all samples.
 func runBenchLeg(t *testing.T, name, scratch string) benchRecord {
+	t.Helper()
+	recs := make([]benchRecord, benchSamples)
+	rss := make([]float64, benchSamples)
+	for i := range recs {
+		recs[i] = runBenchSample(t, name, scratch)
+		rss[i] = recs[i].PeakRSSMb
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].WallMs < recs[j].WallMs })
+	sort.Float64s(rss)
+	q := func(k int) int { return (benchSamples - 1) * k / 4 }
+	r := recs[q(2)]
+	r.Samples, r.WallMsQ1, r.WallMsQ3, r.PeakRSSMb = benchSamples, recs[q(1)].WallMs, recs[q(3)].WallMs, rss[q(2)]
+	return r
+}
+
+// runBenchSample re-executes the test binary on one leg and returns
+// the record it printed, with the child's peak RSS filled in.
+func runBenchSample(t *testing.T, name, scratch string) benchRecord {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestRecordBench$/^"+regexp.QuoteMeta(name)+"$", benchLegArg, scratch)
 	cmd.Stderr = os.Stderr

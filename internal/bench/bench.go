@@ -51,10 +51,6 @@ type Result struct {
 	// cache served instead (Cache). It is wall-clock metadata, varies
 	// run to run, and must never be mixed into simulated output.
 	Sched *RunStats
-
-	// index accelerates At; rebuilt lazily whenever Points grows.
-	index      map[pointKey]int
-	indexedLen int
 }
 
 // RunStats splits the measurement-host statistics of one sweep into
@@ -70,11 +66,6 @@ type RunStats struct {
 	// simulated payload volume the hits saved. All zero when the sweep
 	// ran without a cache.
 	Cache pointcache.Stats
-}
-
-type pointKey struct {
-	n     int
-	bytes int64
 }
 
 // Transport selects which messaging protocol a Sweep measures. It is
@@ -814,48 +805,14 @@ func (r *Result) MaxGBs() float64 {
 }
 
 // At returns the measured point for (n, bytes), ok=false if absent.
-// Lookups go through a lazily built (n, bytes) -> index map, rebuilt
-// whenever Points has grown since the last call; like the rest of
-// Result's lazy state it is not safe for concurrent first use. When
-// the same (n, bytes) pair appears more than once the first point
-// wins, matching the original linear scan.
-//
-// Points is exported and callers may rewrite entries in place, which
-// a length check alone cannot see. A hit is therefore verified
-// against the stored point and a miss falls back to a linear scan;
-// either inconsistency triggers a rebuild, so At never serves a
-// point that no longer matches its key.
+// When the same (n, bytes) pair appears more than once the first point
+// wins. A sweep holds at most a few dozen points, so a linear scan
+// beats keeping an index in step with the exported Points slice.
 func (r *Result) At(n int, bytes int64) (Point, bool) {
-	if r.index == nil || r.indexedLen != len(r.Points) {
-		r.rebuildIndex()
-	}
-	k := pointKey{n, bytes}
-	if i, ok := r.index[k]; ok {
-		if p := r.Points[i]; p.N == n && p.Bytes == bytes {
-			return p, true
-		}
-		r.rebuildIndex()
-		if i, ok := r.index[k]; ok {
-			return r.Points[i], true
-		}
-		return Point{}, false
-	}
 	for _, p := range r.Points {
 		if p.N == n && p.Bytes == bytes {
-			r.rebuildIndex()
 			return p, true
 		}
 	}
 	return Point{}, false
-}
-
-func (r *Result) rebuildIndex() {
-	r.index = make(map[pointKey]int, len(r.Points))
-	for i, p := range r.Points {
-		k := pointKey{p.N, p.Bytes}
-		if _, dup := r.index[k]; !dup {
-			r.index[k] = i
-		}
-	}
-	r.indexedLen = len(r.Points)
 }

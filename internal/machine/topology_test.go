@@ -101,9 +101,6 @@ func testGeneratedProperties(t *testing.T, name string, diameter int) {
 		t.Fatalf("%s: sample too small (%d nodes)", name, len(nodes))
 	}
 	for i, a := range nodes {
-		if lb := in.Net.MustLookaheadFrom(a); lb <= 0 {
-			t.Fatalf("%s: LookaheadFrom(%s) = %v", name, a, lb)
-		}
 		for _, b := range nodes[i+1:] {
 			h := in.Net.Hops(a, b)
 			if h < 1 {

@@ -33,8 +33,7 @@ type channelGroup struct {
 // contract lets route resolution read the graph without any lock; only
 // the path/route caches need synchronization, and those are sharded
 // (cacheShards ways by pair hash) so parallel window workers resolving
-// distinct pairs past the prewarm limit no longer serialize on one
-// mutex.
+// distinct pairs do not serialize on one mutex.
 type Network struct {
 	nodes     []string
 	nodeIndex map[string]int
@@ -52,10 +51,6 @@ type Network struct {
 	// the resolve-outside-the-lock build order perturbs simulated
 	// timing.
 	cache [cacheShards]cacheShard
-	// gen counts topology mutations (AddLink); cached Paths record
-	// the generation they were resolved under so stale holders can be
-	// detected (see Path.Stale).
-	gen int
 	// routing selects the route-choice policy (minimal by default);
 	// detours lists the candidate intermediate nodes Valiant-style
 	// non-minimal routes may bounce through (see route.go).
@@ -136,7 +131,6 @@ func New() *Network {
 // hash-free.
 type Path struct {
 	net     *Network
-	gen     int
 	groups  []*channelGroup
 	hops    int
 	baseLat sim.Time
@@ -144,12 +138,6 @@ type Path struct {
 	aggBW   float64
 	minCh   int
 }
-
-// Stale reports whether the topology has changed (AddLink) since this
-// Path was resolved. A stale Path remains safe to use — its links are
-// still part of the fabric — but it no longer reflects the shortest
-// route; holders that care should re-resolve with PathTo.
-func (p *Path) Stale() bool { return p.net != nil && p.net.gen != p.gen }
 
 // Hops returns the number of hops (0 for a same-node path).
 func (p *Path) Hops() int { return p.hops }
@@ -263,13 +251,6 @@ func (n *Network) AddNode(name string) {
 	n.adjx = append(n.adjx, nil)
 }
 
-// Nodes returns all node names in insertion order.
-func (n *Network) Nodes() []string {
-	out := make([]string, len(n.nodes))
-	copy(out, n.nodes)
-	return out
-}
-
 // HasNode reports whether name is a registered node.
 func (n *Network) HasNode(name string) bool {
 	_, ok := n.nodeIndex[name]
@@ -318,7 +299,6 @@ func (n *Network) AddClassLink(a, b, class string, bandwidth float64, latency si
 		sh.routes = make(map[[2]string]*Route)
 		sh.mu.Unlock()
 	}
-	n.gen++
 }
 
 // PathTo resolves (and caches) the shortest (fewest-hop) route from
@@ -351,7 +331,7 @@ func (n *Network) PathTo(src, dst string) (*Path, error) {
 // resolvePath builds the path for key outside any lock, then installs
 // it in the shard under a double-check.
 func (n *Network) resolvePath(sh *cacheShard, key [2]string) (*Path, error) {
-	p := &Path{net: n, gen: n.gen}
+	p := &Path{net: n}
 	if key[0] != key[1] {
 		groups, err := n.bfs(key[0], key[1])
 		if err != nil {
@@ -520,43 +500,6 @@ func (n *Network) LookaheadBound() sim.Time {
 		return 0
 	}
 	return min
-}
-
-// LookaheadFrom returns the minimum propagation latency over the
-// channel groups leaving `node` — the per-link-class lookahead a
-// placement that confines the node's ranks to one shard could use
-// for that shard's outgoing horizon (tighter than the global
-// LookaheadBound on heterogeneous fabrics). It returns an error on
-// unknown nodes — node names now come from generated topology specs,
-// not only hand-audited literals — and 0 for a node with no outgoing
-// links.
-func (n *Network) LookaheadFrom(node string) (sim.Time, error) {
-	if !n.HasNode(node) {
-		return 0, fmt.Errorf("netsim: unknown node %q", node)
-	}
-	min := sim.Time(-1)
-	for _, g := range n.adj[node] {
-		for _, l := range g.links {
-			if min < 0 || l.Latency() < min {
-				min = l.Latency()
-			}
-		}
-	}
-	if min < 0 {
-		return 0, nil
-	}
-	return min, nil
-}
-
-// MustLookaheadFrom is LookaheadFrom for callers whose node name is
-// known-good by construction (e.g. taken from Nodes()); it panics on
-// an unknown node.
-func (n *Network) MustLookaheadFrom(node string) sim.Time {
-	t, err := n.LookaheadFrom(node)
-	if err != nil {
-		panic(err.Error())
-	}
-	return t
 }
 
 // Reset clears reservation state and counters on every link, plus the

@@ -133,7 +133,7 @@ func (n *Network) buildAlts(src, dst string, min *Path) []*Path {
 		if hops <= min.hops {
 			continue
 		}
-		p := &Path{net: n, gen: n.gen}
+		p := &Path{net: n}
 		p.groups = append(append([]*channelGroup{}, a.groups...), b.groups...)
 		p.metrics()
 		cands = append(cands, cand{p: p, hops: hops})

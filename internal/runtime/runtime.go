@@ -7,9 +7,10 @@
 // netsim fabric, and round-trip remote atomics.
 //
 // Per-rank state is rank-confined: a rank's endpoint (NIC channels,
-// wire plans, injection stats) and everything the stacks build on top
-// of it (window memory, CQ bookkeeping, PE heaps) live with the
-// rank's node group and are touched only from that group's engine.
+// atomic-unit arbitration), its place's row of wire plans, and
+// everything the stacks build on top of it (window memory, CQ
+// bookkeeping, PE heaps) live with the rank's node group and are
+// touched only from that group's engine.
 // Cross-group effects — puts, gets, atomics, signals — arrive as
 // events on the owning group's engine, and mutations of shared fabric
 // state (link-bandwidth reservations, atomic-unit arbitration, fault
@@ -36,6 +37,14 @@ type World struct {
 	// shards records the -shards request for this world (worker
 	// parallelism; clamped by the engine to the node-group count).
 	shards int
+	// placeOf maps each rank to the dense index of its machine.Place.
+	placeOf []int
+	// plans caches wire plans by (source place, destination place):
+	// every field of a plan depends only on where the two ranks sit.
+	// Row plans[p] is allocated on first use and, because all ranks of
+	// a place share one node group, is touched only from that group's
+	// engine or at a window barrier.
+	plans [][]*wirePlan
 }
 
 // NewWorld builds a world with `ranks` endpoints on the given machine.
@@ -70,20 +79,18 @@ func NewWorldSharded(cfg *machine.Config, ranks, shards int) (*World, error) {
 	if shards > ranks {
 		shards = ranks
 	}
-	groupOf, err := nodeGroups(inst, ranks)
-	if err != nil {
-		return nil, err
-	}
+	placeOf, groupOf, nplaces := placeIndex(inst.Places)
 	eng, err := sim.NewCoupled(groupOf, inst.Net.LookaheadBound(), shards)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	w := &World{
-		Inst:   inst,
-		eng:    eng,
-		shards: shards,
+		Inst:    inst,
+		eng:     eng,
+		shards:  shards,
+		placeOf: placeOf,
+		plans:   make([][]*wirePlan, nplaces),
 	}
-	prewarmPaths(inst, ranks)
 	channels := 1
 	if cfg.GPU != nil {
 		channels = cfg.GPU.Channels
@@ -98,75 +105,34 @@ func NewWorldSharded(cfg *machine.Config, ranks, shards int) (*World, error) {
 	return w, nil
 }
 
-// nodeGroups assigns each rank the dense index of its fabric node, in
-// order of first appearance over the rank sequence. Same group ⟺ same
-// node ⟺ shared-memory delivery, so every cross-group flight pays at
-// least one fabric link and the network's LookaheadBound is a valid
-// conservative window for the grouping.
-func nodeGroups(inst *machine.Instance, ranks int) ([]int, error) {
-	groupOf := make([]int, ranks)
-	idx := make(map[string]int)
-	for r := 0; r < ranks; r++ {
-		node := inst.Places[r].Node
-		g, ok := idx[node]
+// placeIndex numbers the distinct places and fabric nodes of a
+// placement densely, each in order of first appearance over the rank
+// sequence. groupOf (the node index) is the engine grouping: same
+// group ⟺ same node ⟺ shared-memory delivery, so every cross-group
+// flight pays at least one fabric link and the network's
+// LookaheadBound is a valid conservative window for it. placeOf keys
+// the wire-plan table; a place names one node, so all its ranks share
+// one group.
+func placeIndex(places []machine.Place) (placeOf, groupOf []int, nplaces int) {
+	placeOf = make([]int, len(places))
+	groupOf = make([]int, len(places))
+	pidx := make(map[machine.Place]int)
+	nidx := make(map[string]int)
+	for r, p := range places {
+		i, ok := pidx[p]
 		if !ok {
-			g = len(idx)
-			idx[node] = g
+			i = len(pidx)
+			pidx[p] = i
+		}
+		placeOf[r] = i
+		g, ok := nidx[p.Node]
+		if !ok {
+			g = len(nidx)
+			nidx[p.Node] = g
 		}
 		groupOf[r] = g
 	}
-	return groupOf, nil
-}
-
-// prewarmSigLimit bounds the node-signature count prewarmPaths will
-// warm all-pairs: beyond it the quadratic BFS sweep dominates world
-// construction on generated fabrics (a 1K-node dragonfly is ~10^6
-// resolutions), so big worlds rely on the lazy, sharded route cache
-// instead (16 lock shards keyed by endpoint-pair hash; see
-// netsim.cacheShards). Laziness never changes simulated output: route
-// resolution is a pure function of the static topology.
-const prewarmSigLimit = 64
-
-// prewarmPaths resolves every fabric route the world can use — direct
-// node-to-node plus host-staged legs — so netsim's lazy route cache is
-// fully populated before any window runs on paper-scale machines.
-// Unreachable pairs are left for use-time panics, exactly as before.
-// Worlds over prewarmSigLimit distinct nodes skip the sweep and
-// resolve routes on demand under the network's per-shard cache locks
-// (path/route construction itself runs lock-free on the immutable
-// topology, so concurrent window workers only contend on insertion).
-func prewarmPaths(inst *machine.Instance, ranks int) {
-	type sig struct{ node, host string }
-	seen := map[sig]bool{}
-	var sigs []sig
-	for r := 0; r < ranks; r++ {
-		s := sig{inst.Places[r].Node, inst.Places[r].Host}
-		if !seen[s] {
-			seen[s] = true
-			sigs = append(sigs, s)
-		}
-	}
-	if len(sigs) > prewarmSigLimit {
-		return
-	}
-	warm := func(a, b string) {
-		if a != b {
-			inst.Net.RouteTo(a, b) //nolint:errcheck // warming only
-		}
-	}
-	for _, a := range sigs {
-		for _, b := range sigs {
-			if a.node == b.node {
-				continue
-			}
-			warm(a.node, b.node)
-			if a.host != "" && b.host != "" {
-				warm(a.node, a.host)
-				warm(a.host, b.host)
-				warm(b.host, b.node)
-			}
-		}
-	}
+	return placeOf, groupOf, len(pidx)
 }
 
 // Size returns the number of endpoints (ranks/PEs).
@@ -245,15 +211,9 @@ type Endpoint struct {
 	// memory (one at a time at the memory controller). It is mutated
 	// only from this endpoint's own engine (owner-computes).
 	atomicFree sim.Time
-	// plans caches the resolved fabric route(s) to each destination
-	// rank (lazily built; topology is static after instantiation), so
-	// the per-send path does no map probes and no allocation. Owned by
-	// the rank's group: built from its engine or at a window barrier.
-	plans []*wirePlan
 }
 
-// wirePlan is the cached routing decision from one endpoint to one
-// destination rank.
+// wirePlan is the cached routing decision from one place to another.
 type wirePlan struct {
 	sameNode    bool
 	crossSocket bool
@@ -265,16 +225,21 @@ type wirePlan struct {
 	stagedBuilt bool
 }
 
-// planTo returns the cached wire plan from ep to rank dst, resolving
-// it on first use.
+// planTo returns the cached wire plan from ep's place to rank dst's,
+// resolving it on first use (topology is static after instantiation),
+// so the per-send path does no map probes and no allocation.
 func (ep *Endpoint) planTo(dst int) *wirePlan {
-	if ep.plans == nil {
-		ep.plans = make([]*wirePlan, ep.world.Size())
+	w := ep.world
+	src := w.placeOf[ep.rank]
+	row := w.plans[src]
+	if row == nil {
+		row = make([]*wirePlan, len(w.plans))
+		w.plans[src] = row
 	}
-	if pl := ep.plans[dst]; pl != nil {
+	if pl := row[w.placeOf[dst]]; pl != nil {
 		return pl
 	}
-	inst := ep.world.Inst
+	inst := w.Inst
 	pl := &wirePlan{
 		sameNode:    inst.SameNode(ep.rank, dst),
 		crossSocket: inst.CrossSocket(ep.rank, dst),
@@ -286,7 +251,7 @@ func (ep *Endpoint) planTo(dst int) *wirePlan {
 		}
 		pl.direct = r
 	}
-	ep.plans[dst] = pl
+	row[w.placeOf[dst]] = pl
 	return pl
 }
 
